@@ -36,7 +36,9 @@ fn main() -> ExitCode {
         _ => {
             eprintln!("usage: co-bench perf [--quick] [--threads N] [--out PATH]");
             eprintln!("       co-bench check PATH [--strict]");
-            eprintln!("       co-bench workload [--total N] [--distinct N] [--seed N] [--union-k K]");
+            eprintln!(
+                "       co-bench workload [--total N] [--distinct N] [--seed N] [--union-k K]"
+            );
             ExitCode::from(2)
         }
     }

@@ -407,8 +407,7 @@ fn hard_emptiness(opts: &PerfOptions) -> Json {
 /// short-circuit answers after one pair. Both placements decide
 /// `holds = true`; the strict floor demands the early hit ≥ 5× faster.
 fn union_heavy(opts: &PerfOptions) -> Json {
-    let shapes: &[(usize, usize)] =
-        if opts.quick { &[(4, 2)] } else { &[(8, 2), (8, 3), (12, 2)] };
+    let shapes: &[(usize, usize)] = if opts.quick { &[(4, 2)] } else { &[(8, 2), (8, 3), (12, 2)] };
     let schema = workloads::coql_schema();
     let cases = shapes
         .iter()
@@ -417,7 +416,8 @@ fn union_heavy(opts: &PerfOptions) -> Json {
             let (_, right_first) = workloads::union_heavy_instance(k, rounds, true);
             let l = co_core::prepare_union(&left, &schema).expect("left union prepares");
             let last = co_core::prepare_union(&right_last, &schema).expect("late union prepares");
-            let first = co_core::prepare_union(&right_first, &schema).expect("early union prepares");
+            let first =
+                co_core::prepare_union(&right_first, &schema).expect("early union prepares");
             let decide = |r: &co_core::PreparedUnion| {
                 co_core::union_contained_prepared(&l, r).expect("union decides").holds.to_string()
             };

@@ -282,8 +282,7 @@ fn graph_select(vertices: usize, edges: &[(usize, usize)]) -> Expr {
 pub fn union_heavy_instance(k: usize, rounds: usize, hit_first: bool) -> (Vec<Expr>, Vec<Expr>) {
     assert!(k >= 2, "a union of at least two disjuncts is needed to move the hit");
     // K3 with both directions of every edge: the 3-coloring palette.
-    let palette: Vec<(usize, usize)> =
-        vec![(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)];
+    let palette: Vec<(usize, usize)> = vec![(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)];
     let left = vec![graph_select(3, &palette)];
     let (n, edges) = mycielski_edges(rounds.max(2));
     let mut right: Vec<Expr> = (0..k - 1).map(|_| graph_select(n, &edges)).collect();

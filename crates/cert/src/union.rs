@@ -261,9 +261,8 @@ impl UnionCert {
                         "witness for left disjunct {j} embeds a refuted certificate"
                     ));
                 }
-                cert.check_against(left[j], right[i], true, expect_path(j, i)).map_err(|e| {
-                    CertError::Check(format!("witness ({j} ⊑ {i}) rejected: {e}"))
-                })?;
+                cert.check_against(left[j], right[i], true, expect_path(j, i))
+                    .map_err(|e| CertError::Check(format!("witness ({j} ⊑ {i}) rejected: {e}")))?;
             }
             Ok(())
         } else {
@@ -291,9 +290,8 @@ impl UnionCert {
                         "branch {i} embeds a positive certificate in a refuted union"
                     ));
                 }
-                cert.check_against(left[x], right[i], false, expect_path(x, i)).map_err(|e| {
-                    CertError::Check(format!("branch ({x} ⋢ {i}) rejected: {e}"))
-                })?;
+                cert.check_against(left[x], right[i], false, expect_path(x, i))
+                    .map_err(|e| CertError::Check(format!("branch ({x} ⋢ {i}) rejected: {e}")))?;
             }
             Ok(())
         }
@@ -331,8 +329,11 @@ mod tests {
         assert_eq!(pos, back);
 
         let db = co_cq::Database::new();
-        let refutation =
-            Cert { holds: false, path: CertPath::Flat, kind: Certificate::Counterexample { db, pattern: None } };
+        let refutation = Cert {
+            holds: false,
+            path: CertPath::Flat,
+            kind: Certificate::Counterexample { db, pattern: None },
+        };
         let neg = UnionCert {
             holds: false,
             left: 2,
@@ -352,8 +353,9 @@ mod tests {
         assert!(UnionCert::parse("COUNION1 verdict=maybe left=1 right=1\nCOUNIONEND\n").is_err());
         // Out-of-order witness lines.
         let cert = identity_mapping(1).to_wire();
-        let scrambled =
-            format!("COUNION1 verdict=holds left=2 right=2\nW 1 0\n{cert}W 0 0\n{cert}COUNIONEND\n");
+        let scrambled = format!(
+            "COUNION1 verdict=holds left=2 right=2\nW 1 0\n{cert}W 0 0\n{cert}COUNIONEND\n"
+        );
         assert!(UnionCert::parse(&scrambled).is_err());
         // W lines in a refuted certificate.
         let bad = format!("COUNION1 verdict=refuted left=1 right=1\nW 0 0\n{cert}COUNIONEND\n");
@@ -399,8 +401,7 @@ mod tests {
     #[test]
     fn nested_pairs_check_through_embedded_canonical_blocks() {
         let t = nested_tree("q(X, Y) :- R(X, Y).", 1);
-        let canonical =
-            Cert { holds: true, path: CertPath::Full, kind: Certificate::Canonical };
+        let canonical = Cert { holds: true, path: CertPath::Full, kind: Certificate::Canonical };
         let cert = UnionCert {
             holds: true,
             left: 1,

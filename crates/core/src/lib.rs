@@ -928,19 +928,19 @@ mod tests {
         let a2 = "select x.B from x in R where x.A = 2";
         let all = "select x.B from x in R";
         // Each filtered disjunct is contained in the unfiltered query.
-        let a = union_contained_in(&union_exprs(&[a1, a2]), &union_exprs(&[all]), &schema())
-            .unwrap();
+        let a =
+            union_contained_in(&union_exprs(&[a1, a2]), &union_exprs(&[all]), &schema()).unwrap();
         assert!(a.holds);
         assert_eq!(a.witnesses, vec![0, 0]);
         // The unfiltered query is contained in neither filter alone, and
         // (CQs being disjunct-convex) not in their union either.
-        let b = union_contained_in(&union_exprs(&[all]), &union_exprs(&[a1, a2]), &schema())
-            .unwrap();
+        let b =
+            union_contained_in(&union_exprs(&[all]), &union_exprs(&[a1, a2]), &schema()).unwrap();
         assert!(!b.holds);
         assert_eq!(b.refuted, Some(0));
         // Q ⊑ Q ∪ anything-compatible.
-        let c = union_contained_in(&union_exprs(&[a1]), &union_exprs(&[a2, a1]), &schema())
-            .unwrap();
+        let c =
+            union_contained_in(&union_exprs(&[a1]), &union_exprs(&[a2, a1]), &schema()).unwrap();
         assert!(c.holds);
         assert_eq!(c.witnesses, vec![1]);
     }
@@ -950,12 +950,8 @@ mod tests {
         let a1 = "select x.B from x in R where x.A = 1";
         let all = "select x.B from x in R";
         // Witness at index 0 out of 3: only one pair decided.
-        let a = union_contained_in(
-            &union_exprs(&[a1]),
-            &union_exprs(&[all, all, all]),
-            &schema(),
-        )
-        .unwrap();
+        let a = union_contained_in(&union_exprs(&[a1]), &union_exprs(&[all, all, all]), &schema())
+            .unwrap();
         assert!(a.holds);
         assert_eq!(a.pairs_decided, 1);
     }
@@ -969,10 +965,7 @@ mod tests {
                     "select x.B from x in R where x.A = 1",
                     "select x.B from x in R where x.A = 2",
                 ]),
-                union_exprs(&[
-                    "select x.B from x in R where x.A = 3",
-                    "select x.B from x in R",
-                ]),
+                union_exprs(&["select x.B from x in R where x.A = 3", "select x.B from x in R"]),
             ),
             (
                 union_exprs(&["select x.B from x in R"]),
@@ -1006,16 +999,14 @@ mod tests {
             &schema,
         )
         .unwrap();
-        let right =
-            prepare_union(&union_exprs(&["select x.B from x in R"]), &schema).unwrap();
+        let right = prepare_union(&union_exprs(&["select x.B from x in R"]), &schema).unwrap();
         let ltrees: Vec<&QueryTree> = left.disjuncts.iter().map(|p| &p.tree).collect();
         let rtrees: Vec<&QueryTree> = right.disjuncts.iter().map(|p| &p.tree).collect();
 
         let pos = union_contained_prepared(&left, &right).unwrap();
         assert!(pos.holds);
         let cert = certify_union_prepared(&left, &right, &pos).unwrap();
-        let expect =
-            |j: usize, i: usize| cert_path(expected_union_path(&left, &right, j, i));
+        let expect = |j: usize, i: usize| cert_path(expected_union_path(&left, &right, j, i));
         cert.check_against(&ltrees, &rtrees, true, &expect).unwrap();
         // Round-trip through the wire form.
         let back = co_cert::UnionCert::parse(&cert.to_wire()).unwrap();
@@ -1024,8 +1015,7 @@ mod tests {
         let neg = union_contained_prepared(&right, &left).unwrap();
         assert!(!neg.holds);
         let cert = certify_union_prepared(&right, &left, &neg).unwrap();
-        let expect =
-            |j: usize, i: usize| cert_path(expected_union_path(&right, &left, j, i));
+        let expect = |j: usize, i: usize| cert_path(expected_union_path(&right, &left, j, i));
         cert.check_against(&rtrees, &ltrees, false, &expect).unwrap();
         let back = co_cert::UnionCert::parse(&cert.to_wire()).unwrap();
         back.check_against(&rtrees, &ltrees, false, &expect).unwrap();
@@ -1034,10 +1024,7 @@ mod tests {
     #[test]
     fn union_type_mismatches_are_an_error() {
         let mixed = union_exprs(&["select x.A from x in R", "select [a: x.A] from x in R"]);
-        assert!(matches!(
-            prepare_union(&mixed, &schema()),
-            Err(CoreError::TypeMismatch(_))
-        ));
+        assert!(matches!(prepare_union(&mixed, &schema()), Err(CoreError::TypeMismatch(_))));
         assert!(matches!(
             union_contained_in(
                 &union_exprs(&["select x.A from x in R"]),

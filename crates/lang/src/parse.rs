@@ -91,10 +91,7 @@ pub fn parse_union_coql(input: &str) -> Result<Vec<Expr>, ParseError> {
 /// identifier). Disjunction is **not** part of the conjunctive [`Expr`]
 /// AST — the union is returned as the list of its disjuncts, in source
 /// order.
-pub fn parse_union_coql_with_depth(
-    input: &str,
-    max_depth: usize,
-) -> Result<Vec<Expr>, ParseError> {
+pub fn parse_union_coql_with_depth(input: &str, max_depth: usize) -> Result<Vec<Expr>, ParseError> {
     let mut p = P { s: input.as_bytes(), pos: 0, depth: 0, max_depth };
     let mut disjuncts = Vec::new();
     loop {

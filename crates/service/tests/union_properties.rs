@@ -202,13 +202,10 @@ fn subsumed_disjuncts_never_change_the_verdict() {
             let donor = side[rng.gen_range(0..side.len())];
             let at = rng.gen_range(0..=side.len());
             side.insert(at, donor.specialized(&mut rng));
-            let verdict = co_core::union_contained_in(
-                &parse(&gl, &mut rng),
-                &parse(&gr, &mut rng),
-                &schema,
-            )
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
-            .holds;
+            let verdict =
+                co_core::union_contained_in(&parse(&gl, &mut rng), &parse(&gr, &mut rng), &schema)
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+                    .holds;
             assert_eq!(
                 verdict, baseline,
                 "seed {seed} (grow_left={grow_left}): subsumed disjunct flipped the verdict"
