@@ -48,7 +48,6 @@ impl Fleet {
             let engine = Arc::new(Engine::new(EngineConfig {
                 cache_shards: 2,
                 cache_per_shard: 256,
-                workers: 2,
                 ..EngineConfig::default()
             }));
             let shutdown = Shutdown::new();

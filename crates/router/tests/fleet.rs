@@ -22,7 +22,6 @@ fn start_shard(allow_handoff: bool) -> (SocketAddr, Shutdown, thread::JoinHandle
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 2,
         cache_per_shard: 256,
-        workers: 2,
         ..EngineConfig::default()
     }));
     let shutdown = Shutdown::new();
@@ -171,6 +170,43 @@ fn affinity_verdicts_and_explain() {
         "explain.router.shard",
     ] {
         assert!(lines.iter().any(|l| l.starts_with(key)), "missing {key}: {lines:?}");
+    }
+
+    stop.trigger();
+    handle.join().unwrap();
+    for (_, s, h) in shards {
+        s.trigger();
+        h.join().unwrap();
+    }
+}
+
+/// `coqld-router --schema name=file` registers a schema file at boot, and
+/// such a file may declare one relation per line. The router must push it
+/// to the shards as one request line: a raw newline would register only
+/// the first relation and put the control connection's replies out of
+/// step with its requests.
+#[test]
+fn multi_line_schema_file_reaches_every_shard_whole() {
+    let shards: Vec<_> = (0..2).map(|_| start_shard(false)).collect();
+    let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.0).collect();
+    let (router_addr, router, stop, handle) = start_router(&addrs, test_config());
+
+    // Boot-time registration, exactly as the binary does it.
+    let path = std::env::temp_dir().join(format!("fleet-schema-{}.txt", std::process::id()));
+    std::fs::write(&path, "R(A, B)\nS(C)\n").unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let (_, relations, acked, total) = router.register_schema("app", text.trim()).unwrap();
+    assert_eq!((relations, acked, total), (2, 2, 2));
+
+    // A CHECK over the second relation, through the router and on each
+    // shard directly.
+    let check = "CHECK app select x.C from x in S where x.C = 1 ;; select y.C from y in S";
+    let reply = Client::connect(router_addr).send(check);
+    assert!(reply.starts_with("OK holds=true"), "{reply}");
+    for addr in &addrs {
+        let reply = Client::connect(*addr).send(check);
+        assert!(reply.starts_with("OK holds=true"), "shard {addr}: {reply}");
     }
 
     stop.trigger();
@@ -413,7 +449,6 @@ fn open_breaker_cuts_traffic_then_recloses_after_restart() {
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 2,
         cache_per_shard: 256,
-        workers: 2,
         ..EngineConfig::default()
     }));
     let revived_stop = Shutdown::new();

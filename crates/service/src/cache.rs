@@ -1,10 +1,11 @@
 //! A sharded, bounded memo cache for containment verdicts.
 //!
 //! Keys are `(fp(q1), fp(q2), fp(schema))` canonical-fingerprint triples;
-//! values are [`CacheEntry`]s: a full [`ContainmentAnalysis`] plus,
-//! optionally, the verdict's wire-serialized certificate (kept when the
-//! entry was computed under `CERT`, so later certified requests and
-//! snapshot exports can reuse it). The map is split into
+//! values are [`CacheEntry`]s: a full analysis (a scalar
+//! [`ContainmentAnalysis`] by default, a union analysis in the engine's
+//! union memo) plus, optionally, the verdict's wire-serialized certificate
+//! (kept when the entry was computed under `CERT`, so later certified
+//! requests and snapshot exports can reuse it). The map is split into
 //! `N` shards, each an independent `RwLock`-protected LRU, so concurrent
 //! readers/writers only contend when their keys land in the same shard.
 //! Everything is `std`-only: the LRU list is an intrusive doubly-linked
@@ -31,9 +32,9 @@ pub struct CacheKey {
 
 /// A cached verdict plus, optionally, its wire-serialized certificate.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CacheEntry {
+pub struct CacheEntry<A = ContainmentAnalysis> {
     /// The memoized analysis.
-    pub analysis: ContainmentAnalysis,
+    pub analysis: A,
     /// The verdict's certificate in `co-cert` wire form, when one was
     /// constructed. Certificates loaded from snapshots or handoffs are
     /// *untrusted* until re-checked (see the engine's reject-and-recompute
@@ -58,28 +59,28 @@ impl CacheKey {
 
 const NIL: usize = usize::MAX;
 
-struct Node {
+struct Node<V> {
     key: CacheKey,
-    value: CacheEntry,
+    value: V,
     prev: usize,
     next: usize,
 }
 
 /// One LRU shard: a hash index into a slab threaded as a recency list.
-struct Shard {
+struct Shard<V> {
     map: HashMap<CacheKey, usize>,
-    slab: Vec<Node>,
+    slab: Vec<Node<V>>,
     free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
     capacity: usize,
 }
 
-impl Shard {
-    fn new(capacity: usize) -> Shard {
+impl<V: Clone> Shard<V> {
+    fn new(capacity: usize) -> Shard<V> {
         Shard {
-            map: HashMap::with_capacity(capacity.min(1024)),
-            slab: Vec::with_capacity(capacity.min(1024)),
+            map: HashMap::new(),
+            slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -113,7 +114,7 @@ impl Shard {
         }
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<CacheEntry> {
+    fn get(&mut self, key: &CacheKey) -> Option<V> {
         let idx = *self.map.get(key)?;
         self.unlink(idx);
         self.push_front(idx);
@@ -122,7 +123,7 @@ impl Shard {
 
     /// Inserts (or refreshes) an entry; returns `true` if an old entry was
     /// evicted to make room.
-    fn insert(&mut self, key: CacheKey, value: CacheEntry) -> bool {
+    fn insert(&mut self, key: CacheKey, value: V) -> bool {
         if let Some(&idx) = self.map.get(&key) {
             self.slab[idx].value = value;
             self.unlink(idx);
@@ -182,18 +183,20 @@ impl CacheStats {
     }
 }
 
-/// The sharded, bounded verdict cache.
-pub struct MemoCache {
-    shards: Vec<RwLock<Shard>>,
+/// The sharded, bounded verdict cache, generic over the cached value
+/// (scalar [`CacheEntry`]s unless told otherwise).
+pub struct MemoCache<V = CacheEntry> {
+    shards: Vec<RwLock<Shard<V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl MemoCache {
+impl<V: Clone> MemoCache<V> {
     /// A cache with `shards` independent LRU shards of `per_shard` entries
-    /// each. `shards` is rounded up to a power of two (minimum 1).
-    pub fn new(shards: usize, per_shard: usize) -> MemoCache {
+    /// each. `shards` is rounded up to a power of two (minimum 1). Nothing
+    /// is preallocated: shards grow with their contents.
+    pub fn new(shards: usize, per_shard: usize) -> MemoCache<V> {
         let shards = shards.max(1).next_power_of_two();
         MemoCache {
             shards: (0..shards).map(|_| RwLock::new(Shard::new(per_shard.max(1)))).collect(),
@@ -203,12 +206,12 @@ impl MemoCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &RwLock<Shard> {
+    fn shard(&self, key: &CacheKey) -> &RwLock<Shard<V>> {
         &self.shards[(key.shard_hash() as usize) & (self.shards.len() - 1)]
     }
 
     /// Looks up a verdict, refreshing its recency. Counts a hit or a miss.
-    pub fn get(&self, key: &CacheKey) -> Option<CacheEntry> {
+    pub fn get(&self, key: &CacheKey) -> Option<V> {
         // The LRU list moves on every hit, so even lookups take the write
         // lock; sharding keeps the critical section per-key-group.
         let found = crate::sync::write(self.shard(key)).get(key);
@@ -225,7 +228,7 @@ impl MemoCache {
     }
 
     /// Stores a verdict (refreshing recency if the key is already present).
-    pub fn insert(&self, key: CacheKey, value: CacheEntry) {
+    pub fn insert(&self, key: CacheKey, value: V) {
         let evicted = crate::sync::write(self.shard(&key)).insert(key, value);
         if evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -263,7 +266,7 @@ impl MemoCache {
     /// order. Each shard is locked only while it is being walked; the
     /// export is a consistent view per shard, not across shards (good
     /// enough for a cache, where an entry's absence is always safe).
-    pub fn export(&self) -> Vec<(CacheKey, CacheEntry)> {
+    pub fn export(&self) -> Vec<(CacheKey, V)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = crate::sync::read(shard);
@@ -279,7 +282,7 @@ impl MemoCache {
     /// Inserts recovered entries without touching the hit/miss counters
     /// (a warm start is not a workload). Returns how many entries the
     /// cache retained — fewer than offered when they exceed capacity.
-    pub fn preload(&self, entries: Vec<(CacheKey, CacheEntry)>) -> usize {
+    pub fn preload(&self, entries: Vec<(CacheKey, V)>) -> usize {
         let offered = entries.len();
         let mut dropped = 0;
         for (key, value) in entries {
@@ -340,8 +343,8 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(MemoCache::new(5, 4).stats().shards, 8);
-        assert_eq!(MemoCache::new(0, 4).stats().shards, 1);
+        assert_eq!(MemoCache::<CacheEntry>::new(5, 4).stats().shards, 8);
+        assert_eq!(MemoCache::<CacheEntry>::new(0, 4).stats().shards, 1);
     }
 
     #[test]

@@ -10,17 +10,20 @@
 //!    [`co_lang::canonical_query`]'s canonical form, so requests differing
 //!    only in variable names, generator order, or conjunct order share a
 //!    cache key;
-//! 2. [`cache`] — a sharded, bounded, `std`-only LRU memo cache of
-//!    [`co_core::ContainmentAnalysis`] keyed by
-//!    `(fp(q1), fp(q2), fp(schema))`, with hit/miss/eviction counters;
-//! 3. [`engine`] — the batch decision engine: schema registry, shared
-//!    [`co_core::Prepared`] reuse (one per distinct canonical query),
-//!    in-flight coalescing of concurrent identical requests, and a
-//!    `std::thread` + `mpsc` worker pool behind
-//!    [`Engine::decide_batch`];
+//! 2. [`cache`] — a sharded, bounded, `std`-only LRU memo cache, generic
+//!    over its value (scalar [`co_core::ContainmentAnalysis`] or union
+//!    verdicts) and keyed by `(fp(q1), fp(q2), fp(schema))`, with
+//!    hit/miss/eviction counters;
+//! 3. [`engine`] — the decision engine: schema registry, shared
+//!    [`co_core::Prepared`] reuse (one per distinct canonical query), and
+//!    one pipeline for every decision direction, scalar or union — memo,
+//!    in-flight coalescing of concurrent identical requests, budgets,
+//!    panic isolation, certificates;
 //! 4. [`server`] — the `coqld` TCP front end: a line-oriented
 //!    `CHECK`/`EQUIV`/`FINGERPRINT`/`SCHEMA`/`STATS` protocol with
-//!    per-decision-path latency histograms;
+//!    per-decision-path latency histograms, whose request-line prelude
+//!    (`CERT`/`EXPLAIN`/`TIMEOUT`/`BUDGET` and the verb) is parsed by
+//!    [`proto`], shared with the router and `coqlc`;
 //! 5. [`snapshot`] — a versioned, checksummed on-disk format for the memo
 //!    cache, published atomically (temp + fsync + rename) by a background
 //!    snapshotter so restarts warm-start instead of recomputing
@@ -72,6 +75,7 @@ pub mod deadline;
 pub mod engine;
 pub mod faults;
 pub mod fingerprint;
+pub mod proto;
 pub mod server;
 pub mod snapshot;
 pub mod stats;
@@ -84,7 +88,9 @@ pub use fingerprint::{
     canonical_fingerprint, canonical_union_fingerprint, fingerprint_bytes, fingerprint_query,
     fingerprint_schema, fingerprint_union, Fingerprint, FINGERPRINT_VERSION,
 };
-pub use server::{parse_schema_decl, serve, serve_with_shutdown, ServerConfig, Shutdown};
+pub use server::{
+    parse_schema_decl, render_schema_decl, serve, serve_with_shutdown, ServerConfig, Shutdown,
+};
 pub use snapshot::{
     crc32, decode_snapshot, encode_snapshot, from_hex, load_snapshot, peek_header, to_hex,
     write_snapshot, LoadOutcome, SnapshotHeader, FORMAT_VERSION,

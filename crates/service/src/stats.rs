@@ -112,8 +112,6 @@ pub struct EngineStats {
     /// Union (`UCHECK`/`UEQUIV`) decisions answered (each direction of a
     /// `UEQUIV` counts once toward `decisions`, the request once here).
     pub union_decisions: AtomicU64,
-    /// Union containment directions served from the union memo.
-    pub union_hits: AtomicU64,
     /// Latency of computed decisions, by decision path
     /// (indexed [`path_index`]).
     pub path_latency: [LatencyHistogram; 3],

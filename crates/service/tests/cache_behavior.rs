@@ -78,7 +78,6 @@ fn concurrent_hammering_matches_uncached_decisions() {
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 4,
         cache_per_shard: 64,
-        workers: 4,
         ..EngineConfig::default()
     }));
     engine.register_schema("s", schema.clone());

@@ -6,6 +6,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -47,7 +48,6 @@ fn start_server(config: ServerConfig) -> TestServer {
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 4,
         cache_per_shard: 256,
-        workers: 4,
         ..EngineConfig::default()
     }));
     let shutdown = Shutdown::new();
@@ -201,7 +201,6 @@ fn slow_leader_does_not_hold_short_deadline_waiter_hostage() {
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 2,
         cache_per_shard: 32,
-        workers: 2,
         ..EngineConfig::default()
     }));
     engine.register_schema("s", co_cq::Schema::with_relations(&[("R", &["A", "B"])]));
@@ -233,6 +232,50 @@ fn slow_leader_does_not_hold_short_deadline_waiter_hostage() {
         panic!("leader should finish with a verdict, got {led:?}");
     };
     assert!(analysis.holds);
+}
+
+/// Concurrent identical `UCHECK`s coalesce onto one leader: with the
+/// leader held inside the kernel, N requests run the union kernel once
+/// and the other N−1 wait for its verdict.
+#[test]
+fn concurrent_identical_uchecks_coalesce_onto_one_leader() {
+    const N: u64 = 6;
+    let _session = FaultSession::begin();
+    faults::set_kernel_slow(1, 1_000);
+
+    let engine = Arc::new(Engine::new(EngineConfig {
+        cache_shards: 2,
+        cache_per_shard: 32,
+        ..EngineConfig::default()
+    }));
+    engine.register_schema("s", co_cq::Schema::with_relations(&[("R", &["A", "B"])]));
+    let request = Request::new(
+        Op::UCheck,
+        "s",
+        "select x.B from x in R where x.A = 1 or select x.B from x in R where x.A = 2",
+        "select y.B from y in R",
+    );
+    let ucheck = |engine: Arc<Engine>, request: Request| {
+        thread::spawn(move || match engine.decide(&request) {
+            Ok(Decision::Union { analysis, cached, .. }) => (analysis.holds, cached),
+            other => panic!("expected a union verdict, got {other:?}"),
+        })
+    };
+
+    let leader = ucheck(Arc::clone(&engine), request.clone());
+    // The in-flight gauge rises once the leader holds the slot and is in
+    // the (held) kernel; only then do the other requests arrive.
+    while engine.stats().in_flight.load(Ordering::Relaxed) == 0 {
+        thread::yield_now();
+    }
+    let waiters: Vec<_> = (1..N).map(|_| ucheck(Arc::clone(&engine), request.clone())).collect();
+    for waiter in waiters {
+        assert_eq!(waiter.join().expect("waiter thread"), (true, true), "coalesced verdict");
+    }
+    assert_eq!(leader.join().expect("leader thread"), (true, false), "computed verdict");
+    let stats = engine.stats();
+    assert_eq!(stats.computed.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.coalesced.load(Ordering::Relaxed), N - 1);
 }
 
 /// Oversized (padded) replies exercise client-side framing: the padded

@@ -28,7 +28,6 @@ impl TestServer {
         let engine = Arc::new(Engine::new(EngineConfig {
             cache_shards: 4,
             cache_per_shard: 64,
-            workers: 2,
             ..EngineConfig::default()
         }));
         let shutdown = Shutdown::new();
@@ -234,7 +233,6 @@ fn step_budget_exhaustion_times_out_without_caching() {
     let engine = Engine::new(EngineConfig {
         cache_shards: 2,
         cache_per_shard: 32,
-        workers: 2,
         ..EngineConfig::default()
     });
     engine
@@ -331,7 +329,6 @@ fn parallel_kernels_respect_budgets_and_join_workers() {
     let engine = Engine::new(EngineConfig {
         cache_shards: 2,
         cache_per_shard: 32,
-        workers: 2,
         kernel_threads: 4,
         ..EngineConfig::default()
     });

@@ -491,4 +491,13 @@ EOF2
     || { echo "chaos: hedge cap violated: $HEDGES hedges for $DECISIONS decisions"; exit 1; }
 
 kill $CHAOS_PIDS 2>/dev/null || true
+
+# ---------------------------------------------------------------------------
+# Wire-path benchmark (wirebench/NOTES.md): its self-tests pin the reply
+# framing and the EXPLAIN/STATS/cert-block parsers the benchmark reads, and
+# a short union_cert run through coqld-router exits 1 on any verdict that
+# disagrees with the co-cert-confirmed oracle.
+echo "==> wirebench self-tests and union_cert smoke run"
+run cargo test --release --manifest-path wirebench/Cargo.toml
+run bash wirebench/run.sh --workload union_cert --seed 3 --seconds 7 --trace 0
 echo "==> verify OK"

@@ -31,7 +31,6 @@ options:
   --shards <n>             memo-cache shards, rounded to a power of two
                            (default 16)
   --capacity <n>           LRU capacity per shard (default 4096)
-  --workers <n>            batch-engine worker threads (default: cores)
   --kernel-threads <n>     intra-request kernel threads for one hard
                            decision (0 = auto: half the machine, capped at
                            8 so the connection pool keeps cores; default 0)
@@ -155,7 +154,6 @@ fn run(args: &[String]) -> Result<(), (String, u8)> {
             "--capacity" => {
                 config.cache_per_shard = parse_num(&value("--capacity")?, "--capacity")?
             }
-            "--workers" => config.workers = parse_num(&value("--workers")?, "--workers")?,
             "--kernel-threads" => {
                 config.kernel_threads = parse_num(&value("--kernel-threads")?, "--kernel-threads")?
             }
