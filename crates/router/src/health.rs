@@ -33,7 +33,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use co_service::{FINGERPRINT_VERSION, FORMAT_VERSION};
+use co_service::{
+    FINGERPRINT_VERSION, FINGERPRINT_VERSION_KEY, FORMAT_VERSION, FORMAT_VERSION_KEY, UPTIME_KEY,
+};
 use co_trace::Histogram;
 
 use crate::pool::{Pool, PoolConfig};
@@ -357,9 +359,9 @@ pub fn parse_stats(lines: &[String]) -> ProbeReport {
     for line in lines {
         let Some((key, value)) = line.split_once(' ') else { continue };
         match key {
-            "uptime_seconds" => report.uptime = value.parse().unwrap_or(0),
-            "build.format_version" => report.format_version = value.parse().unwrap_or(0),
-            "build.fingerprint_version" => report.fingerprint_version = value.parse().unwrap_or(0),
+            UPTIME_KEY => report.uptime = value.parse().unwrap_or(0),
+            FORMAT_VERSION_KEY => report.format_version = value.parse().unwrap_or(0),
+            FINGERPRINT_VERSION_KEY => report.fingerprint_version = value.parse().unwrap_or(0),
             "cache.entries" => report.cache_entries = value.parse().unwrap_or(0),
             _ => {}
         }

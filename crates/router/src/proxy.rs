@@ -28,9 +28,9 @@ use co_service::proto::{parse_prelude, Prelude};
 use co_service::{
     canonical_fingerprint, canonical_union_fingerprint, fingerprint_schema, from_hex,
     parse_schema_decl, peek_header, render_schema_decl, Fingerprint, Shutdown, FINGERPRINT_VERSION,
-    FORMAT_VERSION,
+    FINGERPRINT_VERSION_KEY, FORMAT_VERSION, FORMAT_VERSION_KEY, UPTIME_KEY,
 };
-use co_trace::Span;
+use co_trace::{put_header, put_sample, put_summary, Row, Span, Value};
 
 use crate::backoff::JitteredBackoff;
 use crate::health::{apply_probe, probe, Admission, BreakerConfig, ShardState, Transition};
@@ -735,42 +735,99 @@ impl Router {
         Ok(format!("OK fp={fp}"))
     }
 
-    /// The router's `STATS` payload.
-    fn render_stats(&self) -> String {
+    /// Every metric the router itself exposes, in `STATS` order. `STATS`
+    /// and the router's part of `METRICS` are both rendered from it; the
+    /// per-shard families are added by [`Router::render_metrics`].
+    fn table(&self) -> Vec<Row> {
         let fleet = read(&self.fleet);
         let up = fleet.shards.iter().filter(|s| s.is_up()).count();
-        let mut out = String::new();
-        let mut put = |k: &str, v: String| {
-            out.push_str(k);
-            out.push(' ');
-            out.push_str(&v);
-            out.push('\n');
-        };
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed).to_string();
-        put("uptime_seconds", self.started.elapsed().as_secs().to_string());
-        put("build.format_version", FORMAT_VERSION.to_string());
-        put("build.fingerprint_version", FINGERPRINT_VERSION.to_string());
-        put("router.routed", load(&self.stats.routed));
-        put("router.shed", load(&self.stats.shed));
-        put("router.retries", load(&self.stats.retries));
-        put("router.redials", load(&self.stats.redials));
-        put("router.decision_requests", load(&self.stats.decision_requests));
-        put("router.hedges", load(&self.stats.hedges));
-        put("router.hedge_wins", load(&self.stats.hedge_wins));
-        put("router.hedges_capped", load(&self.stats.hedges_capped));
-        put("router.replication", self.config.replication.to_string());
-        put("router.shard_down_events", load(&self.stats.shard_down));
-        put("router.handoffs", load(&self.stats.handoffs));
-        put("router.probe_failures", load(&self.stats.probe_failures));
-        put("router.local_errors", load(&self.stats.local_errors));
-        put("router.accepted", load(&self.stats.accepted));
-        put("router.client_shed", load(&self.stats.client_shed));
-        put("router.conn_panics", load(&self.stats.conn_panics));
-        put("router.shards", fleet.shards.len().to_string());
-        put("router.shards_up", up.to_string());
-        put("router.schemas", read(&self.schemas).len().to_string());
-        out.push_str("END");
-        out
+        let count = |a: &AtomicU64| Value::Counter(a.load(Ordering::Relaxed));
+        let gauge = |v: usize| Value::Gauge(v as i64);
+        let st = &self.stats;
+        vec![
+            Row::stat(UPTIME_KEY, Value::Gauge(self.started.elapsed().as_secs() as i64)),
+            Row::stat(FORMAT_VERSION_KEY, Value::Gauge(FORMAT_VERSION.into())),
+            Row::stat(FINGERPRINT_VERSION_KEY, Value::Gauge(FINGERPRINT_VERSION.into())),
+            Row::new(
+                "router.routed",
+                "router_routed_total",
+                "Requests forwarded and answered",
+                count(&st.routed),
+            ),
+            Row::new(
+                "router.shed",
+                "router_shed_total",
+                "Forward attempts shed to a sibling (overload, exhausted pool, connect failure)",
+                count(&st.shed),
+            ),
+            Row::new(
+                "router.retries",
+                "router_retries_total",
+                "Forward attempts after the first",
+                count(&st.retries),
+            ),
+            Row::new(
+                "router.redials",
+                "router_redials_total",
+                "Poisoned reused connections replaced by a fresh dial mid-attempt",
+                count(&st.redials),
+            ),
+            Row::new(
+                "router.decision_requests",
+                "router_decision_requests_total",
+                "Decision requests (CHECK/EQUIV/UCHECK/UEQUIV) that reached the forward path",
+                count(&st.decision_requests),
+            ),
+            Row::new(
+                "router.hedges",
+                "router_hedges_total",
+                "Hedge attempts fired after the primary stayed silent past the hedge delay",
+                count(&st.hedges),
+            ),
+            Row::new(
+                "router.hedge_wins",
+                "router_hedge_wins_total",
+                "Decisions where the hedge answered before the primary",
+                count(&st.hedge_wins),
+            ),
+            Row::new(
+                "router.hedges_capped",
+                "router_hedges_capped_total",
+                "Hedges suppressed by the rate cap",
+                count(&st.hedges_capped),
+            ),
+            Row::stat("router.replication", gauge(self.config.replication)),
+            Row::new(
+                "router.shard_down_events",
+                "router_shard_down_total",
+                "Times a shard crossed the failure threshold and was drained",
+                count(&st.shard_down),
+            ),
+            Row::new(
+                "router.handoffs",
+                "router_handoffs_total",
+                "Warm shard joins completed",
+                count(&st.handoffs),
+            ),
+            Row::new(
+                "router.probe_failures",
+                "router_probe_failures_total",
+                "Health probes that failed",
+                count(&st.probe_failures),
+            ),
+            Row::new(
+                "router.local_errors",
+                "router_local_errors_total",
+                "Requests answered locally with an error (parse/type/unknown schema)",
+                count(&st.local_errors),
+            ),
+            Row::stat("router.accepted", count(&st.accepted)),
+            Row::stat("router.client_shed", count(&st.client_shed)),
+            Row::stat("router.conn_panics", count(&st.conn_panics)),
+            Row::stat("router.shards", gauge(fleet.shards.len())),
+            Row::stat("router.shards_up", gauge(up)),
+            Row::stat("router.schemas", gauge(read(&self.schemas).len())),
+        ]
     }
 
     /// The `SHARDS` payload: one line of `key=value` pairs per shard.
@@ -814,130 +871,45 @@ impl Router {
         let mut out = aggregate(&scrapes);
         // Splice the router families in before the trailer.
         out.truncate(out.len() - "# EOF".len());
+        co_trace::render_families(&mut out, &self.table());
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut counter = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
-        };
-        counter("router_routed_total", "Requests forwarded and answered", load(&self.stats.routed));
-        counter(
-            "router_shed_total",
-            "Forward attempts shed to a sibling (overload, exhausted pool, connect failure)",
-            load(&self.stats.shed),
+        put_per_shard(
+            &mut out,
+            &shards,
+            ("router_shard_up", "Shard routable right now (1) or drained (0)", "gauge"),
+            |s| s.is_up().into(),
         );
-        counter(
-            "router_retries_total",
-            "Forward attempts after the first",
-            load(&self.stats.retries),
+        put_per_shard(
+            &mut out,
+            &shards,
+            (
+                "router_shard_state",
+                "Circuit-breaker state per shard (0=closed, 1=half-open, 2=open)",
+                "gauge",
+            ),
+            |s| s.breaker.state().as_gauge().into(),
         );
-        counter(
-            "router_redials_total",
-            "Poisoned reused connections replaced by a fresh dial mid-attempt",
-            load(&self.stats.redials),
-        );
-        counter(
-            "router_shard_down_total",
-            "Times a shard crossed the failure threshold and was drained",
-            load(&self.stats.shard_down),
-        );
-        counter("router_handoffs_total", "Warm shard joins completed", load(&self.stats.handoffs));
-        counter(
-            "router_probe_failures_total",
-            "Health probes that failed",
-            load(&self.stats.probe_failures),
-        );
-        counter(
-            "router_decision_requests_total",
-            "Decision requests (CHECK/EQUIV/UCHECK/UEQUIV) that reached the forward path",
-            load(&self.stats.decision_requests),
-        );
-        counter(
-            "router_hedges_total",
-            "Hedge attempts fired after the primary stayed silent past the hedge delay",
-            load(&self.stats.hedges),
-        );
-        counter(
-            "router_hedge_wins_total",
-            "Decisions where the hedge answered before the primary",
-            load(&self.stats.hedge_wins),
-        );
-        counter(
-            "router_hedges_capped_total",
-            "Hedges suppressed by the rate cap",
-            load(&self.stats.hedges_capped),
-        );
-        counter(
-            "router_local_errors_total",
-            "Requests answered locally with an error (parse/type/unknown schema)",
-            load(&self.stats.local_errors),
-        );
-        out.push_str("# HELP router_shard_up Shard routable right now (1) or drained (0)\n");
-        out.push_str("# TYPE router_shard_up gauge\n");
+        let name = "router_breaker_transitions_total";
+        put_header(&mut out, name, "Breaker transitions per shard by kind", "counter");
         for s in &shards {
-            out.push_str(&format!(
-                "{} {}\n",
-                inject_shard_label("router_shard_up", &s.addr),
-                s.is_up() as u8
-            ));
-        }
-        out.push_str(
-            "# HELP router_shard_state Circuit-breaker state per shard \
-             (0=closed, 1=half-open, 2=open)\n",
-        );
-        out.push_str("# TYPE router_shard_state gauge\n");
-        for s in &shards {
-            out.push_str(&format!(
-                "{} {}\n",
-                inject_shard_label("router_shard_state", &s.addr),
-                s.breaker.state().as_gauge()
-            ));
-        }
-        out.push_str(
-            "# HELP router_breaker_transitions_total Breaker transitions per shard by kind\n",
-        );
-        out.push_str("# TYPE router_breaker_transitions_total counter\n");
-        for s in &shards {
-            for (kind, count) in [
-                ("open", &s.breaker.opened),
-                ("half_open", &s.breaker.half_opened),
-                ("close", &s.breaker.closed),
-            ] {
-                out.push_str(&format!(
-                    "router_breaker_transitions_total{{shard=\"{}\",transition=\"{kind}\"}} {}\n",
-                    s.addr,
-                    count.load(Ordering::Relaxed)
-                ));
+            let b = &s.breaker;
+            for (kind, count) in
+                [("open", &b.opened), ("half_open", &b.half_opened), ("close", &b.closed)]
+            {
+                let series = format!("{name}{{shard=\"{}\",transition=\"{kind}\"}}", s.addr);
+                put_sample(&mut out, &series, load(count));
             }
         }
-        out.push_str("# HELP router_forwarded_total Requests answered by each shard\n");
-        out.push_str("# TYPE router_forwarded_total counter\n");
+        put_per_shard(
+            &mut out,
+            &shards,
+            ("router_forwarded_total", "Requests answered by each shard", "counter"),
+            |s| load(&s.forwarded),
+        );
+        let name = "router_forward_latency_us";
+        put_header(&mut out, name, "Forward latency by shard", "summary");
         for s in &shards {
-            out.push_str(&format!(
-                "{} {}\n",
-                inject_shard_label("router_forwarded_total", &s.addr),
-                s.forwarded.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str("# HELP router_forward_latency_us Forward latency by shard\n");
-        out.push_str("# TYPE router_forward_latency_us summary\n");
-        for s in &shards {
-            let h = &s.forward_latency;
-            for (q, tag) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-                out.push_str(&format!(
-                    "router_forward_latency_us{{shard=\"{}\",quantile=\"{tag}\"}} {}\n",
-                    s.addr,
-                    h.quantile(q)
-                ));
-            }
-            out.push_str(&format!(
-                "router_forward_latency_us_sum{{shard=\"{}\"}} {}\n",
-                s.addr,
-                h.sum()
-            ));
-            out.push_str(&format!(
-                "router_forward_latency_us_count{{shard=\"{}\"}} {}\n",
-                s.addr,
-                h.count()
-            ));
+            put_summary(&mut out, name, &format!("shard=\"{}\"", s.addr), &s.forward_latency);
         }
         out.push_str("# EOF");
         out
@@ -1033,7 +1005,7 @@ impl Router {
                     format!("OK schema={name} fp={fp} relations={relations} shards={acked}/{total}")
                 })
             }),
-            "STATS" => Ok(self.render_stats()),
+            "STATS" => Ok(co_trace::render_stats(&self.table())),
             "METRICS" => Ok(self.render_metrics()),
             "SHARDS" => Ok(self.render_shards()),
             "HANDOFF" => self.handoff(rest),
@@ -1114,6 +1086,20 @@ enum Exchange {
     Reply(String),
     Overloaded,
     UnknownSchema,
+}
+
+/// Appends one family, `(name, help, type)`, with a sample per shard
+/// labeled `shard="<addr>"`.
+fn put_per_shard(
+    out: &mut String,
+    shards: &[Arc<ShardState>],
+    (name, help, type_name): (&str, &str, &str),
+    value: impl Fn(&ShardState) -> u64,
+) {
+    put_header(out, name, help, type_name);
+    for s in shards {
+        put_sample(out, &inject_shard_label(name, &s.addr), value(s));
+    }
 }
 
 /// Scrapes one shard's `METRICS` over a one-shot control connection.

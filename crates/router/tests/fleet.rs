@@ -590,3 +590,142 @@ fn handoff_ships_the_warm_cache_to_a_joining_shard() {
         h.join().unwrap();
     }
 }
+
+/// A `METRICS` reply with every sample value removed and each shard
+/// address replaced by `SHARD<i>`, its position in `shards`.
+fn without_values(lines: &[String], shards: &[SocketAddr]) -> Vec<String> {
+    lines
+        .iter()
+        .map(|l| {
+            let mut l = match l.starts_with('#') {
+                true => l.clone(),
+                false => l.rsplit_once(' ').unwrap_or_else(|| panic!("bad `{l}`")).0.to_string(),
+            };
+            for (i, addr) in shards.iter().enumerate() {
+                l = l.replace(&addr.to_string(), &format!("SHARD{i}"));
+            }
+            l
+        })
+        .collect()
+}
+
+/// The lines cut into family blocks (a `# HELP` line and the lines up to
+/// the next one), sorted: Prometheus gives the order of families no
+/// meaning, while each block's help, type, and series compare byte for
+/// byte.
+fn sorted_blocks(lines: &[String]) -> Vec<String> {
+    let mut blocks: Vec<String> = Vec::new();
+    for line in lines {
+        if line.starts_with("# HELP ") || blocks.is_empty() {
+            blocks.push(String::new());
+        }
+        let block = blocks.last_mut().unwrap();
+        block.push_str(line);
+        block.push('\n');
+    }
+    blocks.sort();
+    blocks
+}
+
+fn golden_lines(text: &str) -> Vec<String> {
+    text.lines().map(str::to_string).collect()
+}
+
+/// `STATS` as `(key, value)` pairs in reply order.
+fn stats_pairs(c: &mut Client) -> Vec<(String, String)> {
+    let first = c.send("STATS");
+    let mut lines = c.read_until("END");
+    lines.insert(0, first);
+    lines
+        .iter()
+        .map(|l| {
+            let (k, v) = l.split_once(' ').unwrap_or_else(|| panic!("bad STATS line `{l}`"));
+            (k.to_string(), v.to_string())
+        })
+        .collect()
+}
+
+fn metrics_lines(c: &mut Client) -> Vec<String> {
+    let first = c.send("METRICS");
+    let mut lines = c.read_until("# EOF");
+    lines.insert(0, first);
+    lines
+}
+
+#[test]
+fn fresh_router_matches_the_golden_stats_and_metrics() {
+    let shards: Vec<_> = (0..2).map(|_| start_shard(false)).collect();
+    let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.0).collect();
+    let (router_addr, _router, stop, handle) = start_router(&addrs, test_config());
+    let mut c = Client::connect(router_addr);
+
+    let keys: Vec<String> = stats_pairs(&mut c).into_iter().map(|(k, _)| k).collect();
+    assert_eq!(keys, golden_lines(include_str!("golden/router_stats_keys.txt")));
+    assert_eq!(
+        sorted_blocks(&without_values(&metrics_lines(&mut c), &addrs)),
+        sorted_blocks(&golden_lines(include_str!("golden/router_metrics.txt")))
+    );
+
+    stop.trigger();
+    handle.join().unwrap();
+    for (_, s, h) in shards {
+        s.trigger();
+        h.join().unwrap();
+    }
+}
+
+#[test]
+fn router_stats_and_metrics_agree_after_a_mixed_workload() {
+    let shards: Vec<_> = (0..2).map(|_| start_shard(false)).collect();
+    let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.0).collect();
+    let (router_addr, _router, stop, handle) = start_router(&addrs, test_config());
+    let mut c = Client::connect(router_addr);
+    assert!(c.send(SCHEMA).starts_with("OK"));
+    assert!(c.send(&format!("CHECK app {}", pair(1, "x"))).starts_with("OK"));
+    assert!(c.send(&format!("CHECK app {}", pair(1, "y"))).starts_with("OK"));
+    let equiv = "select [a: x.A] from x in R ;; select [a: y.A] from y in R";
+    assert!(c.send(&format!("EQUIV app {equiv}")).starts_with("OK"));
+    let union = "select x.B from x in R where x.A = 1 or select x.B from x in R where x.A = 2 \
+                 ;; select y.B from y in R";
+    assert!(c.send(&format!("UCHECK app {union}")).starts_with("OK"));
+    assert!(c.send(&format!("CERT CHECK app {}", pair(2, "z"))).starts_with("OK"));
+    c.read_until("END");
+    let timeout = c.send("BUDGET 1 CHECK app select x.A from x in R ;; select y.A from y in R");
+    assert!(timeout.starts_with("ERR DEADLINE"), "{timeout}");
+    assert!(c
+        .send("CHECK app select x.Z from x in R ;; select y.B from y in R")
+        .starts_with("ERR"));
+
+    let stats = stats_pairs(&mut c);
+    let metrics = metrics_lines(&mut c);
+    let stat = |key: &str| {
+        let found = stats.iter().find(|(k, _)| k == key);
+        found.unwrap_or_else(|| panic!("STATS has no `{key}`")).1.parse::<u64>().unwrap()
+    };
+    assert!(stat("router.routed") >= 6 && stat("router.local_errors") >= 1, "{stats:?}");
+    for (key, family) in [
+        ("router.routed", "router_routed_total"),
+        ("router.shed", "router_shed_total"),
+        ("router.retries", "router_retries_total"),
+        ("router.redials", "router_redials_total"),
+        ("router.decision_requests", "router_decision_requests_total"),
+        ("router.hedges", "router_hedges_total"),
+        ("router.hedge_wins", "router_hedge_wins_total"),
+        ("router.hedges_capped", "router_hedges_capped_total"),
+        ("router.shard_down_events", "router_shard_down_total"),
+        ("router.handoffs", "router_handoffs_total"),
+        ("router.probe_failures", "router_probe_failures_total"),
+        ("router.local_errors", "router_local_errors_total"),
+    ] {
+        let sample = metrics.iter().find_map(|l| l.strip_prefix(family)?.strip_prefix(' '));
+        let sample = sample.unwrap_or_else(|| panic!("METRICS has no `{family}`"));
+        assert_eq!(sample.parse::<u64>().unwrap(), stat(key), "{key} vs {family}");
+    }
+
+    stop.trigger();
+    handle.join().unwrap();
+    for (_, s, h) in shards {
+        s.trigger();
+        h.join().unwrap();
+    }
+}

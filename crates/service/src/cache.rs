@@ -5,13 +5,16 @@
 //! [`ContainmentAnalysis`] by default, a union analysis in the engine's
 //! union memo) plus, optionally, the verdict's wire-serialized certificate
 //! (kept when the entry was computed under `CERT`, so later certified
-//! requests and snapshot exports can reuse it). The map is split into
+//! requests and snapshot exports can reuse it). The engine also keeps its
+//! prepared queries in the same LRU, keyed by `(fp(schema), fp(query))`,
+//! so they are bounded like the verdicts they serve. The map is split into
 //! `N` shards, each an independent `RwLock`-protected LRU, so concurrent
 //! readers/writers only contend when their keys land in the same shard.
 //! Everything is `std`-only: the LRU list is an intrusive doubly-linked
 //! list over a slab of nodes, O(1) for get/insert/evict.
 
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -42,42 +45,27 @@ pub struct CacheEntry<A = ContainmentAnalysis> {
     pub cert: Option<String>,
 }
 
-impl CacheKey {
-    /// A well-mixed 64-bit digest used for shard selection.
-    fn shard_hash(&self) -> u64 {
-        // The fingerprints are already uniform; fold the three u128s with
-        // distinct rotations so (q1, q2) and (q2, q1) land independently.
-        let x = self.q1.0 ^ self.q2.0.rotate_left(41) ^ self.schema.0.rotate_left(83);
-        let folded = (x as u64) ^ ((x >> 64) as u64);
-        // splitmix64 finalizer.
-        let mut z = folded.wrapping_add(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-}
-
 const NIL: usize = usize::MAX;
 
-struct Node<V> {
-    key: CacheKey,
+struct Node<K, V> {
+    key: K,
     value: V,
     prev: usize,
     next: usize,
 }
 
 /// One LRU shard: a hash index into a slab threaded as a recency list.
-struct Shard<V> {
-    map: HashMap<CacheKey, usize>,
-    slab: Vec<Node<V>>,
+struct Shard<K, V> {
+    map: HashMap<K, usize>,
+    slab: Vec<Node<K, V>>,
     free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
     capacity: usize,
 }
 
-impl<V: Clone> Shard<V> {
-    fn new(capacity: usize) -> Shard<V> {
+impl<K: Copy + Eq + Hash, V: Clone> Shard<K, V> {
+    fn new(capacity: usize) -> Shard<K, V> {
         Shard {
             map: HashMap::new(),
             slab: Vec::new(),
@@ -114,7 +102,7 @@ impl<V: Clone> Shard<V> {
         }
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<V> {
+    fn get(&mut self, key: &K) -> Option<V> {
         let idx = *self.map.get(key)?;
         self.unlink(idx);
         self.push_front(idx);
@@ -123,7 +111,7 @@ impl<V: Clone> Shard<V> {
 
     /// Inserts (or refreshes) an entry; returns `true` if an old entry was
     /// evicted to make room.
-    fn insert(&mut self, key: CacheKey, value: V) -> bool {
+    fn insert(&mut self, key: K, value: V) -> bool {
         if let Some(&idx) = self.map.get(&key) {
             self.slab[idx].value = value;
             self.unlink(idx);
@@ -183,20 +171,20 @@ impl CacheStats {
     }
 }
 
-/// The sharded, bounded verdict cache, generic over the cached value
-/// (scalar [`CacheEntry`]s unless told otherwise).
-pub struct MemoCache<V = CacheEntry> {
-    shards: Vec<RwLock<Shard<V>>>,
+/// The sharded, bounded LRU, generic over the cached value and its key
+/// (scalar [`CacheEntry`]s under [`CacheKey`]s unless told otherwise).
+pub struct MemoCache<V = CacheEntry, K = CacheKey> {
+    shards: Vec<RwLock<Shard<K, V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl<V: Clone> MemoCache<V> {
+impl<V: Clone, K: Copy + Eq + Hash> MemoCache<V, K> {
     /// A cache with `shards` independent LRU shards of `per_shard` entries
     /// each. `shards` is rounded up to a power of two (minimum 1). Nothing
     /// is preallocated: shards grow with their contents.
-    pub fn new(shards: usize, per_shard: usize) -> MemoCache<V> {
+    pub fn new(shards: usize, per_shard: usize) -> MemoCache<V, K> {
         let shards = shards.max(1).next_power_of_two();
         MemoCache {
             shards: (0..shards).map(|_| RwLock::new(Shard::new(per_shard.max(1)))).collect(),
@@ -206,12 +194,14 @@ impl<V: Clone> MemoCache<V> {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &RwLock<Shard<V>> {
-        &self.shards[(key.shard_hash() as usize) & (self.shards.len() - 1)]
+    fn shard(&self, key: &K) -> &RwLock<Shard<K, V>> {
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        &self.shards[(hasher.finish() as usize) & (self.shards.len() - 1)]
     }
 
     /// Looks up a verdict, refreshing its recency. Counts a hit or a miss.
-    pub fn get(&self, key: &CacheKey) -> Option<V> {
+    pub fn get(&self, key: &K) -> Option<V> {
         // The LRU list moves on every hit, so even lookups take the write
         // lock; sharding keeps the critical section per-key-group.
         let found = crate::sync::write(self.shard(key)).get(key);
@@ -228,7 +218,7 @@ impl<V: Clone> MemoCache<V> {
     }
 
     /// Stores a verdict (refreshing recency if the key is already present).
-    pub fn insert(&self, key: CacheKey, value: V) {
+    pub fn insert(&self, key: K, value: V) {
         let evicted = crate::sync::write(self.shard(&key)).insert(key, value);
         if evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -254,8 +244,7 @@ impl<V: Clone> MemoCache<V> {
         }
     }
 
-    /// Live entry count per shard (distribution introspection for tests
-    /// and the `STATS` command).
+    /// Live entry count per shard (distribution introspection for tests).
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.shards.iter().map(|s| crate::sync::read(s).map.len()).collect()
     }
@@ -266,7 +255,7 @@ impl<V: Clone> MemoCache<V> {
     /// order. Each shard is locked only while it is being walked; the
     /// export is a consistent view per shard, not across shards (good
     /// enough for a cache, where an entry's absence is always safe).
-    pub fn export(&self) -> Vec<(CacheKey, V)> {
+    pub fn export(&self) -> Vec<(K, V)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = crate::sync::read(shard);
@@ -282,7 +271,7 @@ impl<V: Clone> MemoCache<V> {
     /// Inserts recovered entries without touching the hit/miss counters
     /// (a warm start is not a workload). Returns how many entries the
     /// cache retained — fewer than offered when they exceed capacity.
-    pub fn preload(&self, entries: Vec<(CacheKey, V)>) -> usize {
+    pub fn preload(&self, entries: Vec<(K, V)>) -> usize {
         let offered = entries.len();
         let mut dropped = 0;
         for (key, value) in entries {

@@ -489,8 +489,11 @@ pub struct Engine {
     schemas: RwLock<HashMap<String, Arc<SchemaEntry>>>,
     cache: Lane<ContainmentAnalysis>,
     unions: Lane<UnionAnalysis>,
-    prepared: RwLock<HashMap<(Fingerprint, Fingerprint), Arc<Prepared>>>,
-    prepared_unions: RwLock<HashMap<(Fingerprint, Fingerprint), Arc<PreparedUnion>>>,
+    /// Prepared queries and unions by `(schema fp, query fp)`. Each memo
+    /// entry names at most two of them, so twice the memo's capacity
+    /// holds every query a resident verdict refers to.
+    prepared: MemoCache<Arc<Prepared>, (Fingerprint, Fingerprint)>,
+    prepared_unions: MemoCache<Arc<PreparedUnion>, (Fingerprint, Fingerprint)>,
     stats: EngineStats,
     max_parse_depth: usize,
     last_snapshot: Mutex<Option<Instant>>,
@@ -520,8 +523,8 @@ impl Engine {
             schemas: RwLock::new(HashMap::new()),
             cache: Lane::new(config.cache_shards, config.cache_per_shard),
             unions: Lane::new(1, UNION_MEMO_ENTRIES),
-            prepared: RwLock::new(HashMap::new()),
-            prepared_unions: RwLock::new(HashMap::new()),
+            prepared: MemoCache::new(config.cache_shards, 2 * config.cache_per_shard),
+            prepared_unions: MemoCache::new(1, 2 * UNION_MEMO_ENTRIES),
             stats: EngineStats::default(),
             max_parse_depth: config.max_parse_depth.max(1),
             last_snapshot: Mutex::new(None),
@@ -725,17 +728,12 @@ impl Engine {
         expr: &Expr,
     ) -> Result<Arc<Prepared>, String> {
         let pkey = (entry.fp, fp);
-        // Bind the lookup before branching: a guard temporary in the
-        // condition would live through the miss path and deadlock against
-        // the write lock taken there.
-        let known = sync::read(&self.prepared).get(&pkey).cloned();
-        if let Some(p) = known {
+        if let Some(p) = self.prepared.get(&pkey) {
             return Ok(p);
         }
         let prepared = Arc::new(co_core::prepare(expr, &entry.flat).map_err(|e| e.to_string())?);
-        // A racing thread may have inserted an equivalent Prepared; keep
-        // the first so every holder shares one allocation.
-        Ok(Arc::clone(sync::write(&self.prepared).entry(pkey).or_insert(prepared)))
+        self.prepared.insert(pkey, Arc::clone(&prepared));
+        Ok(prepared)
     }
 
     /// Canonicalizes one query; returns its fingerprint and the shared
@@ -768,8 +766,7 @@ impl Engine {
         let (exprs, fps, ufp) = self.canonicalize(entry, text, true, ex.as_deref_mut())?;
         let span = Span::start();
         let ukey = (entry.fp, ufp);
-        let known = sync::read(&self.prepared_unions).get(&ukey).cloned();
-        let shared = match known {
+        let shared = match self.prepared_unions.get(&ukey) {
             Some(u) => u,
             None => {
                 let disjuncts = exprs
@@ -779,7 +776,8 @@ impl Engine {
                     .collect::<Result<Vec<_>, _>>()?;
                 let union =
                     Arc::new(PreparedUnion::from_disjuncts(disjuncts).map_err(|e| e.to_string())?);
-                Arc::clone(sync::write(&self.prepared_unions).entry(ukey).or_insert(union))
+                self.prepared_unions.insert(ukey, Arc::clone(&union));
+                union
             }
         };
         if let Some(ex) = ex {
@@ -958,7 +956,7 @@ impl Engine {
             Ok(Ok((analysis, cert))) => {
                 self.stats.computed.fetch_add(1, Ordering::Relaxed);
                 if let Some(slot) = P::latency_slot(&analysis) {
-                    self.stats.path_latency[slot].record(elapsed);
+                    self.stats.path_latency[slot].observe_duration(elapsed);
                 }
                 let (entry, answer) =
                     self.attach_cert(CacheEntry { analysis, cert: None }, cert, false);
@@ -1172,11 +1170,6 @@ impl Engine {
         self.unions.memo.stats()
     }
 
-    /// Live entry count per cache shard.
-    pub fn cache_shard_sizes(&self) -> Vec<usize> {
-        self.cache.memo.shard_sizes()
-    }
-
     /// Engine counters (decisions, coalescing, in-flight, latency).
     pub fn stats(&self) -> &EngineStats {
         &self.stats
@@ -1184,7 +1177,7 @@ impl Engine {
 
     /// Number of distinct prepared queries currently shared.
     pub fn prepared_count(&self) -> usize {
-        sync::read(&self.prepared).len()
+        self.prepared.stats().entries
     }
 }
 

@@ -95,4 +95,6 @@ pub use snapshot::{
     crc32, decode_snapshot, encode_snapshot, from_hex, load_snapshot, peek_header, to_hex,
     write_snapshot, LoadOutcome, SnapshotHeader, FORMAT_VERSION,
 };
-pub use stats::{EngineStats, LatencyHistogram, ServerStats};
+pub use stats::{
+    EngineStats, ServerStats, FINGERPRINT_VERSION_KEY, FORMAT_VERSION_KEY, UPTIME_KEY,
+};

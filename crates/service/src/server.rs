@@ -91,7 +91,7 @@ use std::time::{Duration, Instant};
 use co_cq::{RelSchema, Schema};
 use co_object::interrupt;
 
-use co_trace::{kernel, Span};
+use co_trace::{kernel, put_header, put_sample, put_summary, Span};
 
 use crate::deadline::RequestBudget;
 use crate::engine::{Decision, Engine, Explain, Op, Request};
@@ -99,7 +99,7 @@ use crate::faults;
 use crate::fingerprint::FINGERPRINT_VERSION;
 use crate::proto::{parse_prelude, Prelude};
 use crate::snapshot::{from_hex, to_hex, FORMAT_VERSION};
-use crate::stats::{path_label, LatencyHistogram, ServerStats};
+use crate::stats::{self, ServerStats};
 use crate::sync;
 
 /// Server knobs.
@@ -1045,286 +1045,32 @@ fn handle_nest(rest: &str, engine: &Engine, budget: &RequestBudget) -> Result<St
 
 /// The `STATS` payload: `<key> <value>` lines terminated by `END`.
 fn render_stats(ctx: &ServerCtx) -> String {
-    let engine = &ctx.engine;
-    let cache = engine.cache_stats();
-    let stats = engine.stats();
-    let coalesced = stats.coalesced.load(Ordering::Relaxed);
-    let lookups = cache.hits + cache.misses;
-    let effective =
-        if lookups == 0 { 0.0 } else { (cache.hits + coalesced) as f64 / lookups as f64 };
-    let mut out = String::new();
-    let mut put = |k: &str, v: String| {
-        out.push_str(k);
-        out.push(' ');
-        out.push_str(&v);
-        out.push('\n');
-    };
-    put("uptime_seconds", engine.uptime_seconds().to_string());
-    put("build.format_version", FORMAT_VERSION.to_string());
-    put("build.fingerprint_version", FINGERPRINT_VERSION.to_string());
-    put("decisions", stats.decisions.load(Ordering::Relaxed).to_string());
-    put("computed", stats.computed.load(Ordering::Relaxed).to_string());
-    put("coalesced", coalesced.to_string());
-    put("inflight", stats.in_flight.load(Ordering::Relaxed).to_string());
-    put("timeouts", stats.timeouts.load(Ordering::Relaxed).to_string());
-    put("panics", stats.panics.load(Ordering::Relaxed).to_string());
-    put("schemas", engine.schema_count().to_string());
-    put("prepared", engine.prepared_count().to_string());
-    put("server.accepted", ctx.stats.accepted.load(Ordering::Relaxed).to_string());
-    put("server.shed", ctx.stats.shed.load(Ordering::Relaxed).to_string());
-    put("server.oversized", ctx.stats.oversized.load(Ordering::Relaxed).to_string());
-    put("server.idle_closed", ctx.stats.idle_closed.load(Ordering::Relaxed).to_string());
-    put("server.conn_panics", ctx.stats.conn_panics.load(Ordering::Relaxed).to_string());
-    put("server.slow_requests", ctx.stats.slow_requests.load(Ordering::Relaxed).to_string());
-    put("cache.hits", cache.hits.to_string());
-    put("cache.misses", cache.misses.to_string());
-    put("cache.evictions", cache.evictions.to_string());
-    put("cache.entries", cache.entries.to_string());
-    put("cache.capacity", cache.capacity.to_string());
-    put("cache.shards", cache.shards.to_string());
-    put("cache.hit_rate", format!("{:.4}", cache.hit_rate()));
-    put("cache.effective_hit_rate", format!("{effective:.4}"));
-    put("unions.decisions", stats.union_decisions.load(Ordering::Relaxed).to_string());
-    let unions = engine.union_cache_stats();
-    put("unions.hits", unions.hits.to_string());
-    put("unions.entries", unions.entries.to_string());
-    put("persist.recovered_entries", stats.recovered_entries.load(Ordering::Relaxed).to_string());
-    put("persist.snapshots_written", stats.snapshots_written.load(Ordering::Relaxed).to_string());
-    put("persist.snapshot_failures", stats.snapshot_failures.load(Ordering::Relaxed).to_string());
-    put("persist.quarantined", stats.quarantined.load(Ordering::Relaxed).to_string());
-    put("persist.cert_rejected", stats.cert_rejected.load(Ordering::Relaxed).to_string());
-    let age = engine.snapshot_age_ms().map(|ms| ms.to_string());
-    put("persist.snapshot_age_ms", age.unwrap_or_else(|| "-1".to_string()));
-    for (i, hist) in stats.path_latency.iter().enumerate() {
-        let label = path_label(i);
-        put(&format!("path.{label}.count"), hist.count().to_string());
-        put(&format!("path.{label}.mean_us"), hist.mean_us().to_string());
-        put(&format!("path.{label}.p50_us"), hist.quantile_us(0.5).to_string());
-        put(&format!("path.{label}.p99_us"), hist.quantile_us(0.99).to_string());
-    }
-    out.push_str("END");
-    out
+    co_trace::render_stats(&stats::table(&ctx.engine, &ctx.stats))
 }
 
-/// Appends one Prometheus counter family (`# HELP`/`# TYPE` + sample).
-fn put_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    debug_assert!(co_trace::is_valid_metric_name(name), "{name}");
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
-}
-
-/// Appends one Prometheus gauge family with an integer value.
-fn put_gauge(out: &mut String, name: &str, help: &str, value: i64) {
-    debug_assert!(co_trace::is_valid_metric_name(name), "{name}");
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"));
-}
-
-/// Appends one Prometheus gauge family with a float value (ratios).
-fn put_gauge_f(out: &mut String, name: &str, help: &str, value: f64) {
-    debug_assert!(co_trace::is_valid_metric_name(name), "{name}");
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value:.4}\n"));
-}
-
-/// Appends one labeled summary series (quantiles + `_sum`/`_count`) for a
-/// latency histogram; the family's `# HELP`/`# TYPE` are emitted by the
-/// caller once.
-fn put_summary_series(out: &mut String, name: &str, label: &str, hist: &LatencyHistogram) {
-    for (q, tag) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-        out.push_str(&format!(
-            "{name}{{path=\"{label}\",quantile=\"{tag}\"}} {}\n",
-            hist.quantile_us(q)
-        ));
-    }
-    out.push_str(&format!("{name}_sum{{path=\"{label}\"}} {}\n", hist.sum_us()));
-    out.push_str(&format!("{name}_count{{path=\"{label}\"}} {}\n", hist.count()));
-}
-
-/// The `METRICS` payload: Prometheus text exposition of every `STATS`
-/// counter plus the process-wide kernel step totals, terminated by
-/// `# EOF` (which doubles as the line-protocol end marker).
+/// The `METRICS` payload: Prometheus text exposition of the same table
+/// plus the labeled families — build info, per-path latency summaries,
+/// and the process-wide kernel step totals — terminated by `# EOF`
+/// (which doubles as the line-protocol end marker).
 fn render_metrics(ctx: &ServerCtx) -> String {
-    let engine = &ctx.engine;
-    let cache = engine.cache_stats();
-    let unions = engine.union_cache_stats();
-    let stats = engine.stats();
-    let coalesced = stats.coalesced.load(Ordering::Relaxed);
-    let lookups = cache.hits + cache.misses;
-    let effective =
-        if lookups == 0 { 0.0 } else { (cache.hits + coalesced) as f64 / lookups as f64 };
     let out = &mut String::new();
-    let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
-
-    put_gauge(
-        out,
-        "coqld_uptime_seconds",
-        "Seconds since this engine started (a decrease between scrapes means a restart)",
-        engine.uptime_seconds() as i64,
+    co_trace::render_families(out, &stats::table(&ctx.engine, &ctx.stats));
+    let name = "coqld_build_info";
+    put_header(out, name, "Snapshot/fingerprint format versions of this build", "gauge");
+    let labels = format!(
+        "format_version=\"{FORMAT_VERSION}\",fingerprint_version=\"{FINGERPRINT_VERSION}\""
     );
-    out.push_str(
-        "# HELP coqld_build_info Snapshot/fingerprint format versions of this build\n\
-         # TYPE coqld_build_info gauge\n",
-    );
-    out.push_str(&format!(
-        "coqld_build_info{{format_version=\"{FORMAT_VERSION}\",\
-         fingerprint_version=\"{FINGERPRINT_VERSION}\"}} 1\n"
-    ));
-    put_counter(
-        out,
-        "coqld_decisions_total",
-        "Containment decisions answered",
-        load(&stats.decisions),
-    );
-    put_counter(
-        out,
-        "coqld_computed_total",
-        "Decisions computed (cache misses)",
-        load(&stats.computed),
-    );
-    put_counter(
-        out,
-        "coqld_coalesced_total",
-        "Requests coalesced onto an in-flight twin",
-        coalesced,
-    );
-    put_counter(
-        out,
-        "coqld_timeouts_total",
-        "Requests abandoned at their deadline or step budget",
-        load(&stats.timeouts),
-    );
-    put_counter(
-        out,
-        "coqld_panics_total",
-        "Decision computations contained by panic isolation",
-        load(&stats.panics),
-    );
-    put_gauge(
-        out,
-        "coqld_inflight",
-        "Decisions currently being computed",
-        load(&stats.in_flight) as i64,
-    );
-    put_gauge(out, "coqld_schemas", "Registered schemas", engine.schema_count() as i64);
-    put_gauge(
-        out,
-        "coqld_prepared_queries",
-        "Distinct prepared queries shared",
-        engine.prepared_count() as i64,
-    );
-
-    put_counter(
-        out,
-        "coqld_server_accepted_total",
-        "Connections accepted",
-        load(&ctx.stats.accepted),
-    );
-    put_counter(
-        out,
-        "coqld_server_shed_total",
-        "Connections shed at the connection cap",
-        load(&ctx.stats.shed),
-    );
-    put_counter(
-        out,
-        "coqld_server_oversized_total",
-        "Requests rejected for exceeding the line cap",
-        load(&ctx.stats.oversized),
-    );
-    put_counter(
-        out,
-        "coqld_server_idle_closed_total",
-        "Connections closed for idling past the read timeout",
-        load(&ctx.stats.idle_closed),
-    );
-    put_counter(
-        out,
-        "coqld_server_conn_panics_total",
-        "Connection handlers contained by panic isolation",
-        load(&ctx.stats.conn_panics),
-    );
-    put_counter(
-        out,
-        "coqld_server_slow_requests_total",
-        "Requests logged as slow",
-        load(&ctx.stats.slow_requests),
-    );
-
-    put_counter(out, "coqld_cache_hits_total", "Memo-cache hits", cache.hits);
-    put_counter(out, "coqld_cache_misses_total", "Memo-cache misses", cache.misses);
-    put_counter(out, "coqld_cache_evictions_total", "Memo-cache LRU evictions", cache.evictions);
-    put_gauge(out, "coqld_cache_entries", "Live memo-cache entries", cache.entries as i64);
-    put_gauge(out, "coqld_cache_capacity", "Memo-cache capacity", cache.capacity as i64);
-    put_gauge(out, "coqld_cache_shards", "Memo-cache shards", cache.shards as i64);
-    put_gauge_f(out, "coqld_cache_hit_rate", "Memo-cache hit rate", cache.hit_rate());
-    put_gauge_f(
-        out,
-        "coqld_cache_effective_hit_rate",
-        "Hit rate counting coalesced requests",
-        effective,
-    );
-
-    put_counter(
-        out,
-        "coqld_union_decisions_total",
-        "Union (UCHECK/UEQUIV) decisions answered",
-        load(&stats.union_decisions),
-    );
-    put_counter(
-        out,
-        "coqld_union_hits_total",
-        "Union containment directions served from the union memo",
-        unions.hits,
-    );
-    put_gauge(out, "coqld_union_memo_entries", "Live union-memo entries", unions.entries as i64);
-
-    put_counter(
-        out,
-        "coqld_persist_recovered_entries_total",
-        "Verdicts recovered at warm start",
-        load(&stats.recovered_entries),
-    );
-    put_counter(
-        out,
-        "coqld_persist_snapshots_written_total",
-        "Cache snapshots published",
-        load(&stats.snapshots_written),
-    );
-    put_counter(
-        out,
-        "coqld_persist_snapshot_failures_total",
-        "Cache snapshot writes that failed",
-        load(&stats.snapshot_failures),
-    );
-    put_counter(
-        out,
-        "coqld_persist_quarantined_total",
-        "Snapshots rejected at load and moved aside",
-        load(&stats.quarantined),
-    );
-    put_counter(
-        out,
-        "coqld_persist_cert_rejected_total",
-        "Cached certificates rejected by the co-cert re-check",
-        load(&stats.cert_rejected),
-    );
-    let age = engine.snapshot_age_ms().map(|ms| ms as i64).unwrap_or(-1);
-    put_gauge(
-        out,
-        "coqld_persist_snapshot_age_ms",
-        "Milliseconds since the last snapshot (-1 before the first)",
-        age,
-    );
-
-    out.push_str("# HELP coqld_path_latency_us Latency of computed decisions by decision path\n");
-    out.push_str("# TYPE coqld_path_latency_us summary\n");
-    for (i, hist) in stats.path_latency.iter().enumerate() {
-        put_summary_series(out, "coqld_path_latency_us", path_label(i), hist);
+    put_sample(out, &format!("{name}{{{labels}}}"), 1);
+    let name = "coqld_path_latency_us";
+    put_header(out, name, "Latency of computed decisions by decision path", "summary");
+    for (i, hist) in ctx.engine.stats().path_latency.iter().enumerate() {
+        put_summary(out, name, &format!("path=\"{}\"", stats::path_label(i)), hist);
     }
-
-    for (name, value) in kernel::global_totals().iter() {
-        let family = format!("coqld_kernel_{name}_total");
-        put_counter(out, &family, "Kernel steps across all requests", value);
+    for (step, value) in kernel::global_totals().iter() {
+        let name = format!("coqld_kernel_{step}_total");
+        put_header(out, &name, "Kernel steps across all requests", "counter");
+        put_sample(out, &name, value);
     }
-
     out.push_str("# EOF");
     std::mem::take(out)
 }

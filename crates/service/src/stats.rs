@@ -1,81 +1,13 @@
-//! Lock-free service counters and latency histograms.
+//! Lock-free service counters, and the table that exposes them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use co_core::DecisionPath;
+use co_trace::{Histogram, Row, Value};
 
-/// Number of log₂ microsecond buckets: bucket `i` holds samples in
-/// `[2^(i-1), 2^i)` µs (bucket 0 is `< 1 µs`), topping out above ~17 min.
-const BUCKETS: usize = 31;
-
-/// A log₂-bucketed latency histogram over microseconds.
-#[derive(Default)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum_us: AtomicU64,
-}
-
-impl LatencyHistogram {
-    /// Records one sample.
-    pub fn record(&self, elapsed: Duration) {
-        let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-        let bucket = (64 - us.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        // Saturating, not wrapping: a sum that pins at u64::MAX is obviously
-        // exhausted, one that wraps small silently corrupts every mean.
-        let mut current = self.sum_us.load(Ordering::Relaxed);
-        loop {
-            let next = current.saturating_add(us);
-            match self.sum_us.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of recorded samples in microseconds (the Prometheus `_sum`
-    /// series of the exposed summary).
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
-    }
-
-    /// Mean latency in microseconds (0 with no samples).
-    pub fn mean_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed).checked_div(self.count()).unwrap_or(0)
-    }
-
-    /// Upper bound (µs) of the bucket containing the q-quantile,
-    /// `0 <= q <= 1`. A coarse estimate — within 2× of the true value —
-    /// which is what a log₂ histogram buys.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((n as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return if i == 0 { 1 } else { 1u64 << i };
-            }
-        }
-        1u64 << (BUCKETS - 1)
-    }
-}
+use crate::engine::Engine;
+use crate::fingerprint::FINGERPRINT_VERSION;
+use crate::snapshot::FORMAT_VERSION;
 
 /// Counters for the decision engine, all monotone except `in_flight`.
 #[derive(Default)]
@@ -112,9 +44,9 @@ pub struct EngineStats {
     /// Union (`UCHECK`/`UEQUIV`) decisions answered (each direction of a
     /// `UEQUIV` counts once toward `decisions`, the request once here).
     pub union_decisions: AtomicU64,
-    /// Latency of computed decisions, by decision path
+    /// Latency of computed decisions in microseconds, by decision path
     /// (indexed [`path_index`]).
-    pub path_latency: [LatencyHistogram; 3],
+    pub path_latency: [Histogram; 3],
 }
 
 /// Counters for the TCP serving layer, all monotone.
@@ -154,91 +86,225 @@ pub fn path_label(index: usize) -> &'static str {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// `STATS` key of the process uptime. Shard and router both report it,
+/// and the router's prober reads it from every shard to spot restarts.
+pub const UPTIME_KEY: &str = "uptime_seconds";
+/// `STATS` key of the snapshot format version (shard and router; the
+/// prober refuses a shard whose version differs from its own).
+pub const FORMAT_VERSION_KEY: &str = "build.format_version";
+/// `STATS` key of the fingerprint version (as [`FORMAT_VERSION_KEY`]).
+pub const FINGERPRINT_VERSION_KEY: &str = "build.fingerprint_version";
 
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let h = LatencyHistogram::default();
-        for us in [0u64, 1, 3, 8, 100, 1000] {
-            h.record(Duration::from_micros(us));
-        }
-        assert_eq!(h.count(), 6);
-        assert!(h.mean_us() > 0);
-        assert!(h.quantile_us(0.5) <= 16);
-        assert!(h.quantile_us(1.0) >= 1000);
-        let empty = LatencyHistogram::default();
-        assert_eq!(empty.quantile_us(0.5), 0);
+/// Every metric a `coqld` process exposes, in `STATS` order. `STATS`
+/// and `METRICS` are both rendered from this one table; the families
+/// with labels (build info, path latency, kernel steps) are added by the
+/// `METRICS` renderer around it.
+pub(crate) fn table(engine: &Engine, server: &ServerStats) -> Vec<Row> {
+    let stats = engine.stats();
+    let cache = engine.cache_stats();
+    let unions = engine.union_cache_stats();
+    let count = |a: &AtomicU64| Value::Counter(a.load(Ordering::Relaxed));
+    let gauge = |v: usize| Value::Gauge(v as i64);
+    // Coalesced waits happen on both lanes, and each one follows a miss
+    // on its own lane, so the rate is over both memos' lookups.
+    let lookups = cache.hits + cache.misses + unions.hits + unions.misses;
+    let served = cache.hits + unions.hits + stats.coalesced.load(Ordering::Relaxed);
+    let effective = if lookups == 0 { 0.0 } else { served as f64 / lookups as f64 };
+    let age = engine.snapshot_age_ms().map_or(-1, |ms| ms as i64);
+    let mut rows = vec![
+        Row::new(
+            UPTIME_KEY,
+            "coqld_uptime_seconds",
+            "Seconds since this engine started (a decrease between scrapes means a restart)",
+            Value::Gauge(engine.uptime_seconds() as i64),
+        ),
+        Row::stat(FORMAT_VERSION_KEY, Value::Gauge(FORMAT_VERSION.into())),
+        Row::stat(FINGERPRINT_VERSION_KEY, Value::Gauge(FINGERPRINT_VERSION.into())),
+        Row::new(
+            "decisions",
+            "coqld_decisions_total",
+            "Containment decisions answered",
+            count(&stats.decisions),
+        ),
+        Row::new(
+            "computed",
+            "coqld_computed_total",
+            "Decisions computed (cache misses)",
+            count(&stats.computed),
+        ),
+        Row::new(
+            "coalesced",
+            "coqld_coalesced_total",
+            "Requests coalesced onto an in-flight twin",
+            count(&stats.coalesced),
+        ),
+        Row::new(
+            "inflight",
+            "coqld_inflight",
+            "Decisions currently being computed",
+            Value::Gauge(stats.in_flight.load(Ordering::Relaxed) as i64),
+        ),
+        Row::new(
+            "timeouts",
+            "coqld_timeouts_total",
+            "Requests abandoned at their deadline or step budget",
+            count(&stats.timeouts),
+        ),
+        Row::new(
+            "panics",
+            "coqld_panics_total",
+            "Decision computations contained by panic isolation",
+            count(&stats.panics),
+        ),
+        Row::new("schemas", "coqld_schemas", "Registered schemas", gauge(engine.schema_count())),
+        Row::new(
+            "prepared",
+            "coqld_prepared_queries",
+            "Distinct prepared queries shared",
+            gauge(engine.prepared_count()),
+        ),
+        Row::new(
+            "server.accepted",
+            "coqld_server_accepted_total",
+            "Connections accepted",
+            count(&server.accepted),
+        ),
+        Row::new(
+            "server.shed",
+            "coqld_server_shed_total",
+            "Connections shed at the connection cap",
+            count(&server.shed),
+        ),
+        Row::new(
+            "server.oversized",
+            "coqld_server_oversized_total",
+            "Requests rejected for exceeding the line cap",
+            count(&server.oversized),
+        ),
+        Row::new(
+            "server.idle_closed",
+            "coqld_server_idle_closed_total",
+            "Connections closed for idling past the read timeout",
+            count(&server.idle_closed),
+        ),
+        Row::new(
+            "server.conn_panics",
+            "coqld_server_conn_panics_total",
+            "Connection handlers contained by panic isolation",
+            count(&server.conn_panics),
+        ),
+        Row::new(
+            "server.slow_requests",
+            "coqld_server_slow_requests_total",
+            "Requests logged as slow",
+            count(&server.slow_requests),
+        ),
+        Row::new(
+            "cache.hits",
+            "coqld_cache_hits_total",
+            "Memo-cache hits",
+            Value::Counter(cache.hits),
+        ),
+        Row::new(
+            "cache.misses",
+            "coqld_cache_misses_total",
+            "Memo-cache misses",
+            Value::Counter(cache.misses),
+        ),
+        Row::new(
+            "cache.evictions",
+            "coqld_cache_evictions_total",
+            "Memo-cache LRU evictions",
+            Value::Counter(cache.evictions),
+        ),
+        Row::new(
+            "cache.entries",
+            "coqld_cache_entries",
+            "Live memo-cache entries",
+            gauge(cache.entries),
+        ),
+        Row::new(
+            "cache.capacity",
+            "coqld_cache_capacity",
+            "Memo-cache capacity",
+            gauge(cache.capacity),
+        ),
+        Row::new("cache.shards", "coqld_cache_shards", "Memo-cache shards", gauge(cache.shards)),
+        Row::new(
+            "cache.hit_rate",
+            "coqld_cache_hit_rate",
+            "Memo-cache hit rate",
+            Value::Ratio(cache.hit_rate()),
+        ),
+        Row::new(
+            "cache.effective_hit_rate",
+            "coqld_cache_effective_hit_rate",
+            "Hit rate counting coalesced requests",
+            Value::Ratio(effective),
+        ),
+        Row::new(
+            "unions.decisions",
+            "coqld_union_decisions_total",
+            "Union (UCHECK/UEQUIV) decisions answered",
+            count(&stats.union_decisions),
+        ),
+        Row::new(
+            "unions.hits",
+            "coqld_union_hits_total",
+            "Union containment directions served from the union memo",
+            Value::Counter(unions.hits),
+        ),
+        Row::new(
+            "unions.entries",
+            "coqld_union_memo_entries",
+            "Live union-memo entries",
+            gauge(unions.entries),
+        ),
+        Row::new(
+            "persist.recovered_entries",
+            "coqld_persist_recovered_entries_total",
+            "Verdicts recovered at warm start",
+            count(&stats.recovered_entries),
+        ),
+        Row::new(
+            "persist.snapshots_written",
+            "coqld_persist_snapshots_written_total",
+            "Cache snapshots published",
+            count(&stats.snapshots_written),
+        ),
+        Row::new(
+            "persist.snapshot_failures",
+            "coqld_persist_snapshot_failures_total",
+            "Cache snapshot writes that failed",
+            count(&stats.snapshot_failures),
+        ),
+        Row::new(
+            "persist.quarantined",
+            "coqld_persist_quarantined_total",
+            "Snapshots rejected at load and moved aside",
+            count(&stats.quarantined),
+        ),
+        Row::new(
+            "persist.cert_rejected",
+            "coqld_persist_cert_rejected_total",
+            "Cached certificates rejected by the co-cert re-check",
+            count(&stats.cert_rejected),
+        ),
+        Row::new(
+            "persist.snapshot_age_ms",
+            "coqld_persist_snapshot_age_ms",
+            "Milliseconds since the last snapshot (-1 before the first)",
+            Value::Gauge(age),
+        ),
+    ];
+    // The path histograms are one labeled summary family in `METRICS`.
+    for (i, hist) in stats.path_latency.iter().enumerate() {
+        let label = path_label(i);
+        let mean = hist.sum().checked_div(hist.count()).unwrap_or(0);
+        rows.push(Row::stat(format!("path.{label}.count"), Value::Counter(hist.count())));
+        rows.push(Row::stat(format!("path.{label}.mean_us"), Value::Counter(mean)));
+        rows.push(Row::stat(format!("path.{label}.p50_us"), Value::Counter(hist.quantile(0.5))));
+        rows.push(Row::stat(format!("path.{label}.p99_us"), Value::Counter(hist.quantile(0.99))));
     }
-
-    #[test]
-    fn empty_histogram_is_all_zeros() {
-        let h = LatencyHistogram::default();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum_us(), 0);
-        assert_eq!(h.mean_us(), 0);
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(h.quantile_us(q), 0, "q={q}");
-        }
-    }
-
-    #[test]
-    fn single_sample_dominates_every_quantile() {
-        let h = LatencyHistogram::default();
-        h.record(Duration::from_micros(100));
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum_us(), 100);
-        assert_eq!(h.mean_us(), 100);
-        let p50 = h.quantile_us(0.5);
-        // Log₂ buckets: the answer is the bucket's upper bound, within 2×.
-        assert!((100..=256).contains(&p50), "{p50}");
-        assert_eq!(h.quantile_us(0.0), h.quantile_us(1.0));
-    }
-
-    #[test]
-    fn extreme_samples_saturate_without_wrapping() {
-        let h = LatencyHistogram::default();
-        // A Duration whose µs exceed u64::MAX must clamp, not wrap.
-        h.record(Duration::MAX);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum_us(), u64::MAX);
-        assert_eq!(h.mean_us(), u64::MAX);
-        // The sample lands in the top bucket and the quantile stays there.
-        assert_eq!(h.quantile_us(1.0), 1u64 << (BUCKETS - 1));
-        // A second extreme sample keeps count exact and pins the sum at
-        // the boundary instead of wrapping.
-        h.record(Duration::MAX);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum_us(), u64::MAX, "sum must saturate, not wrap");
-    }
-
-    #[test]
-    fn quantiles_are_monotone_in_q() {
-        let h = LatencyHistogram::default();
-        for us in [1u64, 2, 4, 50, 900, 7_000, 120_000] {
-            h.record(Duration::from_micros(us));
-        }
-        let qs = [0.0, 0.1, 0.5, 0.9, 0.99, 1.0];
-        let values: Vec<u64> = qs.iter().map(|&q| h.quantile_us(q)).collect();
-        for pair in values.windows(2) {
-            assert!(pair[0] <= pair[1], "quantiles not monotone: {values:?}");
-        }
-    }
-
-    #[test]
-    fn concurrent_records_sum_exactly() {
-        let h = LatencyHistogram::default();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for _ in 0..1000 {
-                        h.record(Duration::from_micros(7));
-                    }
-                });
-            }
-        });
-        assert_eq!(h.count(), 8_000);
-        assert_eq!(h.sum_us(), 56_000);
-    }
+    rows
 }

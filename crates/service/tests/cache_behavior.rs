@@ -136,3 +136,26 @@ fn concurrent_hammering_matches_uncached_decisions() {
     assert_eq!(stats.hits + stats.misses, 8 * 40);
     assert!(stats.hits >= (8 * 40 - pool.len()) as u64 / 2, "{stats:?}");
 }
+
+#[test]
+fn prepared_queries_are_bounded_by_the_memo() {
+    // A 1×8 memo: its entries name at most 16 prepared queries, so the
+    // prepared map keeps no more than that however many distinct queries
+    // arrive.
+    let engine = Engine::new(EngineConfig {
+        cache_shards: 1,
+        cache_per_shard: 8,
+        ..EngineConfig::default()
+    });
+    engine.register_schema("s", Schema::with_relations(&[("R", &["A", "B"])]));
+    for i in 0..200 {
+        let request = Request::new(
+            Op::Check,
+            "s",
+            &format!("select x.B from x in R where x.A = {i}"),
+            "select y.B from y in R",
+        );
+        assert!(matches!(engine.decide(&request), Ok(Decision::Containment { .. })));
+        assert!(engine.prepared_count() <= 16, "{} prepared after {i}", engine.prepared_count());
+    }
+}

@@ -38,6 +38,7 @@ impl Drop for FaultSession {
 
 struct TestServer {
     addr: SocketAddr,
+    engine: Arc<Engine>,
     shutdown: Shutdown,
     handle: JoinHandle<std::io::Result<()>>,
 }
@@ -52,10 +53,10 @@ fn start_server(config: ServerConfig) -> TestServer {
     }));
     let shutdown = Shutdown::new();
     let handle = {
-        let shutdown = shutdown.clone();
+        let (engine, shutdown) = (Arc::clone(&engine), shutdown.clone());
         thread::spawn(move || serve_with_shutdown(listener, engine, config, shutdown))
     };
-    TestServer { addr, shutdown, handle }
+    TestServer { addr, engine, shutdown, handle }
 }
 
 struct Client {
@@ -74,6 +75,10 @@ impl Client {
 
     fn send(&mut self, line: &str) -> String {
         writeln!(self.writer, "{line}").unwrap();
+        self.read_line()
+    }
+
+    fn read_line(&mut self) -> String {
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("read reply (no-hang guarantee)");
         reply.trim_end().to_string()
@@ -276,6 +281,55 @@ fn concurrent_identical_uchecks_coalesce_onto_one_leader() {
     let stats = engine.stats();
     assert_eq!(stats.computed.load(Ordering::Relaxed), 1);
     assert_eq!(stats.coalesced.load(Ordering::Relaxed), N - 1);
+}
+
+/// The effective hit rate counts coalesced waits on both lanes over
+/// lookups on both memos, so a burst of identical `UCHECK`s held behind
+/// one slow leader reads as a rate in (0, 1], whatever scalar traffic
+/// came before it.
+#[test]
+fn effective_hit_rate_stays_a_rate_under_coalesced_uchecks() {
+    let _session = FaultSession::begin();
+    let server = start_server(ServerConfig::default());
+    let mut client = Client::connect(server.addr);
+    assert!(client.send("SCHEMA s R(A,B)").starts_with("OK"));
+    let reply =
+        client.send("CHECK s select x.B from x in R where x.A = 1 ;; select x.B from x in R");
+    assert!(reply.starts_with("OK holds=true"), "{reply}");
+
+    faults::set_kernel_slow(1, 1_000);
+    let ucheck = |addr| {
+        thread::spawn(move || {
+            Client::connect(addr).send(
+                "UCHECK s select x.B from x in R where x.A = 1 or \
+                 select x.B from x in R where x.A = 2 ;; select y.B from y in R",
+            )
+        })
+    };
+    let leader = ucheck(server.addr);
+    while server.engine.stats().in_flight.load(Ordering::Relaxed) == 0 {
+        thread::yield_now();
+    }
+    let waiters: Vec<_> = (1..6).map(|_| ucheck(server.addr)).collect();
+    for reply in waiters.into_iter().chain([leader]).map(|t| t.join().expect("client thread")) {
+        assert!(reply.starts_with("OK holds=true"), "{reply}");
+    }
+    faults::reset();
+    assert_eq!(server.engine.stats().coalesced.load(Ordering::Relaxed), 5);
+
+    let mut line = client.send("STATS");
+    let rate = loop {
+        if let Some(v) = line.strip_prefix("cache.effective_hit_rate ") {
+            break v.parse::<f64>().expect("numeric rate");
+        }
+        assert_ne!(line, "END", "STATS has no cache.effective_hit_rate");
+        line = client.read_line();
+    };
+    assert!(rate > 0.0 && rate <= 1.0, "effective hit rate {rate} is not a rate");
+
+    drop(client);
+    server.shutdown.trigger();
+    assert!(server.handle.join().expect("serve thread").is_ok());
 }
 
 /// Oversized (padded) replies exercise client-side framing: the padded

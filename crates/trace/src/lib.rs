@@ -1,6 +1,6 @@
 //! Std-only observability primitives for the decision stack (DESIGN.md §12).
 //!
-//! Two complementary mechanisms live here:
+//! Three pieces live here:
 //!
 //! * [`kernel`] — a **fixed** set of per-kernel step counters
 //!   ([`kernel::Metric`]) backed by a thread-local array of `Cell<u64>`.
@@ -17,18 +17,23 @@
 //!   ([`kernel::global_totals`], the `METRICS` fleet view) — one
 //!   mechanism feeds both sinks.
 //!
-//! * [`Registry`] — dynamically registered, lock-free [`Counter`] /
-//!   [`Gauge`] / [`Histogram`] handles with Prometheus text exposition
-//!   ([`Registry::render_prometheus`]). Registration takes a mutex once;
-//!   the returned handles are `Arc`'d atomics that never lock again.
+//! * [`Row`] — one line of a process's metrics table, and the renderers
+//!   that turn the table into both of its views: `STATS` `key value`
+//!   lines ([`render_stats`]) and Prometheus text exposition
+//!   ([`render_families`], plus [`put_header`]/[`put_sample`]/
+//!   [`put_summary`] for labeled families). Each process lists its
+//!   metrics once and renders both views from that one list.
 //!
-//! Plus [`Span`], a minimal monotonic timer for phase breakdowns.
+//! * [`Histogram`] — a lock-free log₂-bucketed histogram, and [`Span`],
+//!   a minimal monotonic timer for phase breakdowns.
 //!
 //! Everything is `std`-only: no registry dependencies, usable from every
 //! crate in the workspace including the kernels themselves.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::borrow::Cow;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub mod kernel;
@@ -66,75 +71,6 @@ impl Span {
     }
 }
 
-/// A monotone counter handle. Cheap to clone; all clones share one atomic.
-#[derive(Clone, Default)]
-pub struct Counter {
-    value: Arc<AtomicU64>,
-}
-
-impl Counter {
-    /// A counter not attached to any registry (useful in tests).
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`. Saturates at `u64::MAX` instead of wrapping, so a
-    /// scraped counter can never appear to decrease.
-    pub fn add(&self, n: u64) {
-        let mut current = self.value.load(Ordering::Relaxed);
-        loop {
-            let next = current.saturating_add(n);
-            match self.value.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge handle: a value that can move both ways.
-#[derive(Clone, Default)]
-pub struct Gauge {
-    value: Arc<AtomicI64>,
-}
-
-impl Gauge {
-    /// A gauge not attached to any registry.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the gauge.
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
 /// Number of log₂ buckets in a [`Histogram`]: bucket `i` holds samples in
 /// `[2^(i-1), 2^i)` (bucket 0 is `< 1`), topping out at `2^30` ≈ 1.07e9.
 const HIST_BUCKETS: usize = 31;
@@ -165,7 +101,7 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// A histogram not attached to any registry.
+    /// An empty histogram.
     pub fn new() -> Histogram {
         Histogram::default()
     }
@@ -194,11 +130,6 @@ impl Histogram {
     /// Records a duration as microseconds.
     pub fn observe_duration(&self, elapsed: Duration) {
         self.observe(elapsed.as_micros().min(u64::MAX as u128) as u64);
-    }
-
-    /// Starts a timer that records into this histogram when dropped.
-    pub fn time(&self) -> HistogramTimer {
-        HistogramTimer { histogram: self.clone(), span: Span::start() }
     }
 
     /// Number of recorded samples.
@@ -230,167 +161,105 @@ impl Histogram {
     }
 }
 
-/// RAII timer from [`Histogram::time`]: observes the elapsed microseconds
-/// when dropped.
-pub struct HistogramTimer {
-    histogram: Histogram,
-    span: Span,
+/// The value of a [`Row`], which also fixes its Prometheus type.
+#[derive(Clone, Copy, Debug)]
+pub enum Value {
+    /// A monotone count (`# TYPE … counter`).
+    Counter(u64),
+    /// An integer that can move both ways (`# TYPE … gauge`).
+    Gauge(i64),
+    /// A ratio gauge, printed with four decimals in both views.
+    Ratio(f64),
 }
 
-impl Drop for HistogramTimer {
-    fn drop(&mut self) {
-        self.histogram.observe(self.span.elapsed_us());
-    }
-}
-
-enum Instrument {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-struct Entry {
-    name: String,
-    help: String,
-    instrument: Instrument,
-}
-
-/// A named collection of instruments with Prometheus text exposition.
-///
-/// Registration is `Mutex`-guarded (it happens once per instrument, at
-/// startup); the handles it returns are lock-free. Registering the same
-/// name twice returns a handle to the *same* underlying instrument, so
-/// independent components can share a metric without coordination.
-#[derive(Default)]
-pub struct Registry {
-    entries: Mutex<Vec<Entry>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Registers (or retrieves) a monotone counter.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different instrument kind.
-    pub fn counter(&self, name: &str, help: &str) -> Counter {
-        let name = sanitize_metric_name(name);
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = entries.iter().find(|e| e.name == name) {
-            match &entry.instrument {
-                Instrument::Counter(c) => return c.clone(),
-                _ => panic!("metric `{name}` already registered as a non-counter"),
-            }
-        }
-        let counter = Counter::new();
-        entries.push(Entry {
-            name,
-            help: help.to_string(),
-            instrument: Instrument::Counter(counter.clone()),
-        });
-        counter
-    }
-
-    /// Registers (or retrieves) a gauge.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different instrument kind.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let name = sanitize_metric_name(name);
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = entries.iter().find(|e| e.name == name) {
-            match &entry.instrument {
-                Instrument::Gauge(g) => return g.clone(),
-                _ => panic!("metric `{name}` already registered as a non-gauge"),
-            }
-        }
-        let gauge = Gauge::new();
-        entries.push(Entry {
-            name,
-            help: help.to_string(),
-            instrument: Instrument::Gauge(gauge.clone()),
-        });
-        gauge
-    }
-
-    /// Registers (or retrieves) a histogram (exposed as a Prometheus
-    /// summary: quantile series plus `_sum`/`_count`).
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different instrument kind.
-    pub fn histogram(&self, name: &str, help: &str) -> Histogram {
-        let name = sanitize_metric_name(name);
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = entries.iter().find(|e| e.name == name) {
-            match &entry.instrument {
-                Instrument::Histogram(h) => return h.clone(),
-                _ => panic!("metric `{name}` already registered as a non-histogram"),
-            }
-        }
-        let histogram = Histogram::new();
-        entries.push(Entry {
-            name,
-            help: help.to_string(),
-            instrument: Instrument::Histogram(histogram.clone()),
-        });
-        histogram
-    }
-
-    /// Renders every registered instrument in Prometheus text exposition
-    /// format (stable order: registration order), **without** a trailing
-    /// `# EOF` terminator — callers that speak OpenMetrics append it.
-    pub fn render_prometheus(&self) -> String {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = String::new();
-        for entry in entries.iter() {
-            render_instrument(&mut out, &entry.name, &entry.help, &entry.instrument);
-        }
-        out
-    }
-}
-
-fn render_instrument(out: &mut String, name: &str, help: &str, instrument: &Instrument) {
-    if !help.is_empty() {
-        out.push_str(&format!("# HELP {name} {}\n", help.replace('\n', " ")));
-    }
-    match instrument {
-        Instrument::Counter(c) => {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.get()));
-        }
-        Instrument::Gauge(g) => {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.get()));
-        }
-        Instrument::Histogram(h) => {
-            out.push_str(&format!("# TYPE {name} summary\n"));
-            for q in [0.5, 0.9, 0.99] {
-                out.push_str(&format!("{name}{{quantile=\"{q}\"}} {}\n", h.quantile(q)));
-            }
-            out.push_str(&format!("{name}_sum {}\n", h.sum()));
-            out.push_str(&format!("{name}_count {}\n", h.count()));
+impl Value {
+    fn type_name(self) -> &'static str {
+        match self {
+            Value::Counter(_) => "counter",
+            Value::Gauge(_) | Value::Ratio(_) => "gauge",
         }
     }
 }
 
-/// Coerces a string into the Prometheus metric-name charset
-/// `[a-zA-Z_:][a-zA-Z0-9_:]*`: invalid characters become `_`, and a
-/// leading digit gets a `_` prefix. Empty input becomes `"_"`.
-pub fn sanitize_metric_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for (i, ch) in name.chars().enumerate() {
-        let valid =
-            ch.is_ascii_alphabetic() || ch == '_' || ch == ':' || (i > 0 && ch.is_ascii_digit());
-        if i == 0 && ch.is_ascii_digit() {
-            out.push('_');
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Counter(v) => write!(f, "{v}"),
+            Value::Gauge(v) => write!(f, "{v}"),
+            Value::Ratio(v) => write!(f, "{v:.4}"),
         }
-        out.push(if valid || ch.is_ascii_digit() { ch } else { '_' });
     }
-    if out.is_empty() {
-        out.push('_');
+}
+
+/// One metric of a process's table: the `STATS` key, the Prometheus
+/// family and its help text when the metric has one, and the value.
+/// Both views read the same row, so they cannot disagree.
+#[derive(Debug)]
+pub struct Row {
+    /// The `STATS` key.
+    key: Cow<'static, str>,
+    /// `(family name, help text)` in `METRICS`; `None` for `STATS`-only
+    /// keys (settings, or values exposed through a labeled family).
+    family: Option<(&'static str, &'static str)>,
+    /// The current value.
+    value: Value,
+}
+
+impl Row {
+    /// A metric shown in both `STATS` and `METRICS`.
+    pub fn new(key: &'static str, family: &'static str, help: &'static str, value: Value) -> Row {
+        Row { key: Cow::Borrowed(key), family: Some((family, help)), value }
     }
+
+    /// A `STATS`-only key.
+    pub fn stat(key: impl Into<Cow<'static, str>>, value: Value) -> Row {
+        Row { key: key.into(), family: None, value }
+    }
+}
+
+/// The `STATS` view: one `key value` line per row, then `END`.
+pub fn render_stats(rows: &[Row]) -> String {
+    let mut out = String::new();
+    for row in rows {
+        out.push_str(&format!("{} {}\n", row.key, row.value));
+    }
+    out.push_str("END");
     out
+}
+
+/// Appends the `METRICS` view of every row that has a family: `# HELP`,
+/// `# TYPE`, and one unlabeled sample each, in table order.
+pub fn render_families(out: &mut String, rows: &[Row]) {
+    for row in rows {
+        if let Some((name, help)) = row.family {
+            put_header(out, name, help, row.value.type_name());
+            put_sample(out, name, row.value);
+        }
+    }
+}
+
+/// Appends the `# HELP`/`# TYPE` lines of one family; its samples follow
+/// through [`put_sample`] or [`put_summary`].
+pub fn put_header(out: &mut String, name: &str, help: &str, type_name: &str) {
+    debug_assert!(is_valid_metric_name(name), "{name}");
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {type_name}\n"));
+}
+
+/// Appends one sample line: `series` is the family name, with its
+/// `{labels}` if any.
+pub fn put_sample(out: &mut String, series: &str, value: impl fmt::Display) {
+    out.push_str(&format!("{series} {value}\n"));
+}
+
+/// Appends one labeled series of a summary family: the p50/p90/p99
+/// quantiles of `hist`, then `_sum` and `_count`. `label` is one
+/// `key="value"` pair, e.g. `path="flat"`.
+pub fn put_summary(out: &mut String, name: &str, label: &str, hist: &Histogram) {
+    for q in [0.5, 0.9, 0.99] {
+        put_sample(out, &format!("{name}{{{label},quantile=\"{q}\"}}"), hist.quantile(q));
+    }
+    put_sample(out, &format!("{name}_sum{{{label}}}"), hist.sum());
+    put_sample(out, &format!("{name}_count{{{label}}}"), hist.count());
 }
 
 /// Whether `name` is a valid Prometheus metric name.
@@ -408,34 +277,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_round_trip() {
-        let r = Registry::new();
-        let c = r.counter("requests_total", "requests");
-        c.inc();
-        c.add(2);
-        assert_eq!(c.get(), 3);
-        // Same name returns the same instrument.
-        assert_eq!(r.counter("requests_total", "requests").get(), 3);
-        let g = r.gauge("inflight", "live");
-        g.set(5);
-        g.add(-2);
-        assert_eq!(g.get(), 3);
-        let text = r.render_prometheus();
-        assert!(text.contains("# TYPE requests_total counter"), "{text}");
-        assert!(text.contains("requests_total 3"), "{text}");
-        assert!(text.contains("inflight 3"), "{text}");
-    }
-
-    #[test]
-    fn counter_saturates_instead_of_wrapping() {
-        let c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.add(10);
-        assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_quantiles_and_timer() {
+    fn histogram_quantiles() {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), 0);
         for v in [1u64, 3, 8, 100, 1000] {
@@ -445,84 +287,114 @@ mod tests {
         assert_eq!(h.sum(), 1112);
         assert!(h.quantile(0.5) <= 16);
         assert!(h.quantile(1.0) >= 1000);
-        drop(h.time());
-        assert_eq!(h.count(), 6);
     }
 
     #[test]
-    fn name_sanitization() {
-        assert_eq!(sanitize_metric_name("cache.hits"), "cache_hits");
-        assert_eq!(sanitize_metric_name("9lives"), "_9lives");
-        assert_eq!(sanitize_metric_name("ok_name:x0"), "ok_name:x0");
-        assert_eq!(sanitize_metric_name(""), "_");
-        assert!(is_valid_metric_name("coqld_cache_hits_total"));
-        assert!(!is_valid_metric_name("bad.name"));
-        assert!(!is_valid_metric_name("0bad"));
-        assert!(!is_valid_metric_name(""));
-    }
-
-    #[test]
-    fn rendered_names_always_parse() {
-        let r = Registry::new();
-        r.counter("weird name!", "").inc();
-        r.gauge("1st", "").set(1);
-        for line in r.render_prometheus().lines() {
-            if line.starts_with('#') {
-                continue;
-            }
-            let name = line.split([' ', '{']).next().unwrap();
-            let name = name.trim_end_matches("_sum").trim_end_matches("_count");
-            assert!(is_valid_metric_name(name), "{line}");
+    fn empty_histogram_is_all_zeros() {
+        let h = Histogram::new();
+        assert_eq!((h.count(), h.sum()), (0, 0));
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), 0, "q={q}");
         }
     }
 
     #[test]
-    fn concurrent_increments_sum_exactly() {
-        let r = Registry::new();
-        let c = r.counter("racy_total", "contended counter");
-        let h = r.histogram("racy_us", "contended histogram");
+    fn single_sample_dominates_every_quantile() {
+        let h = Histogram::new();
+        h.observe_duration(Duration::from_micros(100));
+        assert_eq!((h.count(), h.sum()), (1, 100));
+        // Log₂ buckets: the answer is the bucket's upper bound, within 2×.
+        assert!((100..=256).contains(&h.quantile(0.5)), "{}", h.quantile(0.5));
+        assert_eq!(h.quantile(0.0), h.quantile(1.0));
+    }
+
+    #[test]
+    fn extreme_samples_saturate_without_wrapping() {
+        let h = Histogram::new();
+        // A Duration whose µs exceed u64::MAX must clamp, not wrap.
+        h.observe_duration(Duration::MAX);
+        assert_eq!((h.count(), h.sum()), (1, u64::MAX));
+        assert_eq!(h.quantile(1.0), 1u64 << (HIST_BUCKETS - 1));
+        h.observe_duration(Duration::MAX);
+        assert_eq!((h.count(), h.sum()), (2, u64::MAX), "sum must saturate, not wrap");
+    }
+
+    #[test]
+    fn quantiles_are_monotone_in_q() {
+        let h = Histogram::new();
+        for us in [1u64, 2, 4, 50, 900, 7_000, 120_000] {
+            h.observe(us);
+        }
+        let values: Vec<u64> = [0.0, 0.1, 0.5, 0.9, 0.99, 1.0].map(|q| h.quantile(q)).to_vec();
+        assert!(values.windows(2).all(|p| p[0] <= p[1]), "quantiles not monotone: {values:?}");
+    }
+
+    #[test]
+    fn concurrent_observations_sum_exactly() {
+        let h = Histogram::new();
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                let c = c.clone();
                 let h = h.clone();
                 scope.spawn(move || {
-                    for _ in 0..10_000 {
-                        c.inc();
-                    }
                     for _ in 0..1_000 {
                         h.observe(3);
                     }
                 });
             }
         });
-        assert_eq!(c.get(), 80_000);
-        assert_eq!(h.count(), 8_000);
-        assert_eq!(h.sum(), 24_000);
-        // And the rendered exposition reflects the exact totals.
-        let text = r.render_prometheus();
-        assert!(text.contains("racy_total 80000"), "{text}");
-        assert!(text.contains("racy_us_count 8000"), "{text}");
+        assert_eq!((h.count(), h.sum()), (8_000, 24_000));
     }
 
     #[test]
-    fn exposition_is_stable_and_parseable() {
-        let r = Registry::new();
-        r.counter("b_total", "").add(2);
-        r.counter("a_total", "").add(1);
-        r.gauge("g", "").set(-4);
-        r.histogram("h_us", "").observe(9);
-        let first = r.render_prometheus();
-        let second = r.render_prometheus();
-        assert_eq!(first, second, "exposition must be deterministic");
-        // Registration order is preserved (stable scrape diffs), and every
-        // sample line is `name[{labels}] value` with a numeric value.
-        let b = first.find("b_total").unwrap();
-        let a = first.find("a_total").unwrap();
-        assert!(b < a, "registration order must be preserved:\n{first}");
-        for line in first.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
-            let (_, value) = line.rsplit_once(' ').expect("sample line");
-            assert!(value.parse::<f64>().is_ok(), "{line}");
-        }
+    fn metric_name_validity() {
+        assert!(is_valid_metric_name("coqld_cache_hits_total"));
+        assert!(is_valid_metric_name("ok_name:x0"));
+        assert!(!is_valid_metric_name("bad.name"));
+        assert!(!is_valid_metric_name("0bad"));
+        assert!(!is_valid_metric_name(""));
+    }
+
+    fn table() -> Vec<Row> {
+        vec![
+            Row::new("hits", "x_hits_total", "Hits", Value::Counter(3)),
+            Row::stat("setting", Value::Gauge(2)),
+            Row::new("age_ms", "x_age_ms", "Age", Value::Gauge(-1)),
+            Row::new("rate", "x_rate", "Rate", Value::Ratio(0.5)),
+        ]
+    }
+
+    #[test]
+    fn stats_view_lists_every_row_in_order() {
+        assert_eq!(render_stats(&table()), "hits 3\nsetting 2\nage_ms -1\nrate 0.5000\nEND");
+    }
+
+    #[test]
+    fn metrics_view_skips_stats_only_rows() {
+        let mut out = String::new();
+        render_families(&mut out, &table());
+        assert_eq!(
+            out,
+            "# HELP x_hits_total Hits\n# TYPE x_hits_total counter\nx_hits_total 3\n\
+             # HELP x_age_ms Age\n# TYPE x_age_ms gauge\nx_age_ms -1\n\
+             # HELP x_rate Rate\n# TYPE x_rate gauge\nx_rate 0.5000\n"
+        );
+    }
+
+    #[test]
+    fn summary_series_carry_the_label_on_every_line() {
+        let h = Histogram::new();
+        h.observe(9);
+        let mut out = String::new();
+        put_header(&mut out, "x_us", "Latency", "summary");
+        put_summary(&mut out, "x_us", "path=\"flat\"", &h);
+        assert_eq!(
+            out,
+            "# HELP x_us Latency\n# TYPE x_us summary\n\
+             x_us{path=\"flat\",quantile=\"0.5\"} 16\n\
+             x_us{path=\"flat\",quantile=\"0.9\"} 16\n\
+             x_us{path=\"flat\",quantile=\"0.99\"} 16\n\
+             x_us_sum{path=\"flat\"} 9\nx_us_count{path=\"flat\"} 1\n"
+        );
     }
 
     #[test]
