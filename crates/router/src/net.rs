@@ -1,11 +1,12 @@
-//! Line-oriented TCP plumbing shared by the router's front and back ends.
+//! The router's shard-side connections. (Its client-facing side is
+//! `co_service::front`, shared with coqld.)
 
-use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// A buffered, line-oriented connection to one coqld shard (or from one
-/// client). Reads and writes whole protocol lines.
+/// A buffered, line-oriented connection to one coqld shard. Reads and
+/// writes whole protocol lines.
 pub struct LineConn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -23,11 +24,6 @@ impl LineConn {
         })?;
         let stream = TcpStream::connect_timeout(&sock, connect_timeout)?;
         stream.set_nodelay(true).ok();
-        LineConn::from_stream(stream, io_timeout)
-    }
-
-    /// Wraps an accepted stream (the router's client-facing side).
-    pub fn from_stream(stream: TcpStream, io_timeout: Option<Duration>) -> io::Result<LineConn> {
         stream.set_read_timeout(io_timeout)?;
         stream.set_write_timeout(io_timeout)?;
         let writer = stream.try_clone()?;
@@ -84,68 +80,4 @@ impl LineConn {
             lines.push(line);
         }
     }
-}
-
-/// What one bounded front-end line read produced.
-pub enum LineRead {
-    /// A complete line (newline stripped, trailing `\r` trimmed).
-    Line(String),
-    /// The line exceeded `max` bytes; its remainder was discarded.
-    TooLarge,
-    /// Clean end of stream.
-    Eof,
-    /// The socket read timed out before a newline arrived.
-    IdleTimeout,
-}
-
-/// Reads one `\n`-terminated request line of at most `max` bytes from a
-/// client. Oversized lines are consumed and discarded up to their newline
-/// so the connection survives the `ERR TOOLARGE` reply.
-pub fn read_bounded_line(reader: &mut BufReader<TcpStream>, max: usize) -> io::Result<LineRead> {
-    let mut line: Vec<u8> = Vec::new();
-    let mut discarding = false;
-    loop {
-        let mut byte = [0u8; 1];
-        // Byte-at-a-time over BufReader: each call costs one memcpy from
-        // the internal buffer, not one syscall.
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                return Ok(if discarding {
-                    LineRead::TooLarge
-                } else if line.is_empty() {
-                    LineRead::Eof
-                } else {
-                    LineRead::Line(finish(line))
-                });
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    return Ok(if discarding {
-                        LineRead::TooLarge
-                    } else {
-                        LineRead::Line(finish(line))
-                    });
-                }
-                if !discarding {
-                    line.push(byte[0]);
-                    if line.len() > max {
-                        discarding = true;
-                        line.clear();
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return Ok(LineRead::IdleTimeout);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn finish(mut bytes: Vec<u8>) -> String {
-    if bytes.last() == Some(&b'\r') {
-        bytes.pop();
-    }
-    String::from_utf8_lossy(&bytes).into_owned()
 }

@@ -15,27 +15,28 @@
 //! ring sibling under a bounded retry budget.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::io::{self, ErrorKind};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use co_lang::CoqlSchema;
-use co_service::proto::{parse_prelude, Prelude};
+use co_service::front::{serve_lines, spawn_ticker, Limits, LineService, Reply};
+use co_service::proto::{parse_prelude, split_head, split_pair, Prelude};
+use co_service::sync::{read, write};
 use co_service::{
     canonical_fingerprint, canonical_union_fingerprint, fingerprint_schema, from_hex,
-    parse_schema_decl, peek_header, render_schema_decl, Fingerprint, Shutdown, FINGERPRINT_VERSION,
-    FINGERPRINT_VERSION_KEY, FORMAT_VERSION, FORMAT_VERSION_KEY, UPTIME_KEY,
+    parse_schema_decl, peek_header, render_schema_decl, Fingerprint, ServerStats, Shutdown,
+    FINGERPRINT_VERSION, FINGERPRINT_VERSION_KEY, FORMAT_VERSION, FORMAT_VERSION_KEY, UPTIME_KEY,
 };
 use co_trace::{put_header, put_sample, put_summary, Row, Span, Value};
 
 use crate::backoff::JitteredBackoff;
 use crate::health::{apply_probe, probe, Admission, BreakerConfig, ShardState, Transition};
 use crate::metrics::{aggregate, inject_shard_label};
-use crate::net::{read_bounded_line, LineConn, LineRead};
+use crate::net::LineConn;
 use crate::pool::{Checkout, PoolConfig, PooledConn};
 use crate::ring::{hash64, Ring};
 
@@ -151,9 +152,6 @@ struct RouterStats {
     shard_down: AtomicU64,
     handoffs: AtomicU64,
     probe_failures: AtomicU64,
-    accepted: AtomicU64,
-    client_shed: AtomicU64,
-    conn_panics: AtomicU64,
     local_errors: AtomicU64,
     /// Decision requests (`CHECK`/`EQUIV`/`UCHECK`/`UEQUIV`) that reached
     /// the forward path (the denominator of the hedge rate cap).
@@ -188,15 +186,10 @@ pub struct Router {
     fleet: RwLock<Fleet>,
     schemas: RwLock<HashMap<String, Arc<SchemaEntry>>>,
     stats: RouterStats,
+    /// The client-facing front end's counters (accepts, sheds, panics).
+    front: ServerStats,
     shutdown: Shutdown,
     started: Instant,
-}
-
-enum Reply {
-    None,
-    Line(String),
-    Quit,
-    Shutdown,
 }
 
 impl Router {
@@ -218,6 +211,7 @@ impl Router {
             fleet: RwLock::new(Fleet { shards, ring }),
             schemas: RwLock::new(HashMap::new()),
             stats: RouterStats::default(),
+            front: ServerStats::default(),
             shutdown: Shutdown::new(),
             started: Instant::now(),
         })
@@ -341,12 +335,7 @@ impl Router {
         } else {
             "CHECK|EQUIV <schema> <q1> ;; <q2>"
         };
-        let (schema_name, queries) = split_head(rest, usage)?;
-        let (q1, q2) = queries.split_once(";;").ok_or_else(|| format!("usage: {usage}"))?;
-        let (q1, q2) = (q1.trim(), q2.trim());
-        if q1.is_empty() || q2.is_empty() {
-            return Err(format!("usage: {usage}"));
-        }
+        let (schema_name, q1, q2) = split_pair(rest, usage)?;
         let entry = read(&self.schemas).get(schema_name).cloned().ok_or_else(|| {
             format!("unknown schema `{schema_name}` (register it with SCHEMA first)")
         })?;
@@ -821,9 +810,9 @@ impl Router {
                 "Requests answered locally with an error (parse/type/unknown schema)",
                 count(&st.local_errors),
             ),
-            Row::stat("router.accepted", count(&st.accepted)),
-            Row::stat("router.client_shed", count(&st.client_shed)),
-            Row::stat("router.conn_panics", count(&st.conn_panics)),
+            Row::stat("router.accepted", count(&self.front.accepted)),
+            Row::stat("router.client_shed", count(&self.front.shed)),
+            Row::stat("router.conn_panics", count(&self.front.conn_panics)),
             Row::stat("router.shards", gauge(fleet.shards.len())),
             Row::stat("router.shards_up", gauge(up)),
             Row::stat("router.schemas", gauge(read(&self.schemas).len())),
@@ -986,7 +975,44 @@ impl Router {
         ))
     }
 
-    fn handle_line(self: &Arc<Router>, raw: &str) -> Reply {
+    /// One probe round over the whole fleet (also run once at boot so a
+    /// dead shard is drained before the first real request). The probe
+    /// respects each shard's breaker: an Open shard is left alone until
+    /// its backoff expires, and then the probe itself serves as the
+    /// half-open trial — so a dead shard costs one connect attempt per
+    /// backoff interval, not one per round.
+    fn probe_round(self: &Arc<Router>) {
+        let shards = read(&self.fleet).shards.clone();
+        for shard in &shards {
+            if shard.breaker.admit() == Admission::No {
+                continue;
+            }
+            let outcome = probe(shard);
+            if outcome.is_err() {
+                self.stats.probe_failures.fetch_add(1, Ordering::Relaxed);
+            }
+            match apply_probe(shard, &outcome) {
+                Transition::WentDown => {
+                    self.stats.shard_down.fetch_add(1, Ordering::Relaxed);
+                }
+                Transition::CameUp | Transition::Restarted => {
+                    // It may have lost its schemas with its process.
+                    let _ = self.push_schemas(shard);
+                }
+                Transition::Steady => {}
+            }
+        }
+    }
+}
+
+impl LineService for Router {
+    type Conn = ();
+
+    fn counters(&self) -> &ServerStats {
+        &self.front
+    }
+
+    fn handle(self: &Arc<Router>, raw: &str, _conn: &mut ()) -> Reply {
         let raw = raw.trim();
         if raw.is_empty() || raw.starts_with('#') {
             return Reply::None;
@@ -1024,35 +1050,6 @@ impl Router {
         match result {
             Ok(text) => Reply::Line(text),
             Err(message) => Reply::Line(format!("ERR {}", message.replace('\n', " "))),
-        }
-    }
-
-    /// One probe round over the whole fleet (also run once at boot so a
-    /// dead shard is drained before the first real request). The probe
-    /// respects each shard's breaker: an Open shard is left alone until
-    /// its backoff expires, and then the probe itself serves as the
-    /// half-open trial — so a dead shard costs one connect attempt per
-    /// backoff interval, not one per round.
-    fn probe_round(self: &Arc<Router>) {
-        let shards = read(&self.fleet).shards.clone();
-        for shard in &shards {
-            if shard.breaker.admit() == Admission::No {
-                continue;
-            }
-            let outcome = probe(shard);
-            if outcome.is_err() {
-                self.stats.probe_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            match apply_probe(shard, &outcome) {
-                Transition::WentDown => {
-                    self.stats.shard_down.fetch_add(1, Ordering::Relaxed);
-                }
-                Transition::CameUp | Transition::Restarted => {
-                    // It may have lost its schemas with its process.
-                    let _ = self.push_schemas(shard);
-                }
-                Transition::Steady => {}
-            }
         }
     }
 }
@@ -1173,23 +1170,6 @@ fn push_snapshot(joiner: &ShardState, bytes: &[u8]) -> Result<u64, String> {
     Ok(imported)
 }
 
-/// Splits `<head> <tail>`, erroring with a usage hint when `tail` is
-/// missing (mirrors the shard protocol's messages).
-fn split_head<'a>(rest: &'a str, usage: &str) -> Result<(&'a str, &'a str), String> {
-    match rest.split_once(char::is_whitespace) {
-        Some((head, tail)) if !tail.trim().is_empty() => Ok((head, tail.trim())),
-        _ => Err(format!("usage: {usage}")),
-    }
-}
-
-fn read<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
-}
-
-fn write<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Runs the router's accept loop until the listener errors. Equivalent to
 /// [`serve_router_with_shutdown`] with the router's own (untriggered)
 /// handle.
@@ -1206,112 +1186,24 @@ pub fn serve_router_with_shutdown(
     router: Arc<Router>,
     shutdown: Shutdown,
 ) -> io::Result<()> {
-    shutdown.set_wake_addr(listener.local_addr().ok());
-    let live = Arc::new(AtomicUsize::new(0));
+    let config = &router.config;
+    let limits = Limits {
+        max_connections: config.max_connections,
+        read_timeout: config.read_timeout,
+        write_timeout: config.write_timeout,
+        max_line_bytes: config.max_line_bytes,
+        drain_timeout: config.drain_timeout,
+    };
     // One immediate round so a dead shard is drained before traffic.
     router.probe_round();
     let prober = {
         let router = Arc::clone(&router);
-        let shutdown = shutdown.clone();
-        thread::spawn(move || {
-            let interval = router.config.probe_interval.max(Duration::from_millis(10));
-            let tick = interval.min(Duration::from_millis(50));
-            let mut next = Instant::now() + interval;
-            while !shutdown.is_triggered() {
-                thread::sleep(tick);
-                if Instant::now() >= next && !shutdown.is_triggered() {
-                    router.probe_round();
-                    next = Instant::now() + interval;
-                }
-            }
-        })
+        let interval = router.config.probe_interval.max(Duration::from_millis(10));
+        spawn_ticker(interval, &shutdown, move || router.probe_round())
     };
-    loop {
-        if shutdown.is_triggered() {
-            break;
-        }
-        let (stream, _peer) = listener.accept()?;
-        router.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        if shutdown.is_triggered() {
-            break;
-        }
-        if live.load(Ordering::Relaxed) >= router.config.max_connections {
-            router.stats.client_shed.fetch_add(1, Ordering::Relaxed);
-            let mut stream = stream;
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-            let _ = stream.write_all(b"ERR OVERLOADED connection limit reached, retry later\n");
-            continue;
-        }
-        live.fetch_add(1, Ordering::Relaxed);
-        let router = Arc::clone(&router);
-        let live = Arc::clone(&live);
-        thread::spawn(move || {
-            if catch_unwind(AssertUnwindSafe(|| handle_client(stream, &router))).is_err() {
-                router.stats.conn_panics.fetch_add(1, Ordering::Relaxed);
-            }
-            live.fetch_sub(1, Ordering::Relaxed);
-        });
-    }
-    drop(listener);
-    let deadline = Instant::now() + router.config.drain_timeout;
-    while live.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
-        thread::sleep(Duration::from_millis(20));
-    }
+    serve_lines(listener, &router, limits, &shutdown)?;
     let _ = prober.join();
     Ok(())
-}
-
-fn handle_client(stream: TcpStream, router: &Arc<Router>) -> io::Result<()> {
-    stream.set_read_timeout(router.config.read_timeout)?;
-    stream.set_write_timeout(router.config.write_timeout)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        if router.shutdown.is_triggered() {
-            break;
-        }
-        let line = match read_bounded_line(&mut reader, router.config.max_line_bytes)? {
-            LineRead::Eof | LineRead::IdleTimeout => break,
-            LineRead::TooLarge => {
-                let reply =
-                    format!("ERR TOOLARGE line exceeds {} bytes", router.config.max_line_bytes);
-                if write_line(&mut writer, &reply).is_err() {
-                    break;
-                }
-                continue;
-            }
-            LineRead::Line(line) => line,
-        };
-        let reply =
-            catch_unwind(AssertUnwindSafe(|| router.handle_line(&line))).unwrap_or_else(|_| {
-                router.stats.conn_panics.fetch_add(1, Ordering::Relaxed);
-                Reply::Line("ERR INTERNAL request handler panicked".to_string())
-            });
-        match reply {
-            Reply::None => {}
-            Reply::Line(text) => {
-                if write_line(&mut writer, &text).is_err() {
-                    break;
-                }
-            }
-            Reply::Quit => {
-                let _ = write_line(&mut writer, "OK bye");
-                break;
-            }
-            Reply::Shutdown => {
-                let _ = write_line(&mut writer, "OK draining");
-                router.shutdown.trigger();
-                break;
-            }
-        }
-    }
-    Ok(())
-}
-
-fn write_line(writer: &mut TcpStream, text: &str) -> io::Result<()> {
-    writer.write_all(text.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
 }
 
 #[cfg(test)]

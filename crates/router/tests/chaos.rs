@@ -1,7 +1,9 @@
 //! Chaos suite (feature `fault-inject`): a real router in front of real
 //! in-process shards whose reply paths are sabotaged deterministically —
 //! replies dropped mid-write, garbled, or stalled — plus hedging and the
-//! hedge rate cap under fleet-wide slowness.
+//! hedge rate cap under fleet-wide slowness. The router shares coqld's
+//! front end, so one test pins that the reply faults stay on the shards:
+//! replies the router answers itself come out byte-exact.
 //!
 //! The invariant under every fault: **zero wrong verdicts**. A fault may
 //! cost a retry, a hedge, or (past every budget) an `ERR UNAVAILABLE`,
@@ -273,4 +275,52 @@ fn hedge_rate_cap_holds_under_fleet_wide_slowness() {
     assert!(capped >= 1, "later hedge attempts must have been refused");
     assert_eq!(c.stat("router.routed"), c.stat("router.decision_requests"));
     fleet.stop();
+}
+
+/// The reply-fault hooks live in the front end coqld and the router
+/// share, but only the shards pass replies through them: with every
+/// shard reply garbled, then every one dropped mid-write, the replies
+/// the router answers itself stay byte-exact.
+#[test]
+fn router_local_replies_never_pass_through_reply_faults() {
+    let _guard = lock_faults();
+    let fleet = Fleet::start(2, chaos_config());
+    let mut c = Client::connect(fleet.router_addr);
+    warm(&mut c);
+    let fingerprint = "FINGERPRINT app select x.B from x in R";
+    let bad_attr = "CHECK app select x.Z from x in R ;; select y.B from y in R";
+    let clean_fp = c.send(fingerprint);
+    assert!(clean_fp.starts_with("OK fp="), "{clean_fp}");
+    let clean_err = c.send(bad_attr);
+    assert!(clean_err.starts_with("ERR "), "{clean_err}");
+    let shard_of = |line: &str| line.split(' ').next().unwrap().to_string();
+    let shards: Vec<String> = shards_reply(&mut c).iter().map(|l| shard_of(l)).collect();
+    assert_eq!(shards.len(), 2, "{shards:?}");
+
+    for arm in [faults::set_reply_garble_every as fn(u64), faults::set_reply_drop_every] {
+        arm(1);
+        // The faults are live: a forwarded decision finds no clean reply.
+        let reply = c.send(&holds_pair(1));
+        assert!(reply.starts_with("ERR UNAVAILABLE"), "{reply}");
+        assert_eq!(c.send(fingerprint), clean_fp);
+        assert_eq!(c.send(bad_attr), clean_err);
+        let lines = shards_reply(&mut c);
+        assert_eq!(lines.iter().map(|l| shard_of(l)).collect::<Vec<_>>(), shards, "{lines:?}");
+        assert!(lines.iter().all(|l| l.contains(" up=")), "{lines:?}");
+        faults::reset();
+    }
+    fleet.stop();
+}
+
+/// The `SHARDS` table, one line per shard, its `END` checked.
+fn shards_reply(c: &mut Client) -> Vec<String> {
+    let mut lines = vec![c.send("SHARDS")];
+    loop {
+        let mut l = String::new();
+        c.reader.read_line(&mut l).expect("read SHARDS");
+        if l == "END\n" {
+            return lines;
+        }
+        lines.push(l.trim_end().to_string());
+    }
 }

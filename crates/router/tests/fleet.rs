@@ -4,10 +4,11 @@
 //! Pins down the tentpole behaviors: cache affinity (α-renamed repeats
 //! of one semantic pair land on exactly one shard's cache), verdict
 //! correctness through the proxy, `EXPLAIN` augmentation, shed-to-sibling
-//! failover past a killed shard, fleet `METRICS` aggregation, and warm
-//! `HANDOFF` of a new shard.
+//! failover past a killed shard, fleet `METRICS` aggregation, warm
+//! `HANDOFF` of a new shard, and the client-facing front end's contract
+//! (line deadline, line cap, connection cap — the same as coqld's).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -728,4 +729,122 @@ fn router_stats_and_metrics_agree_after_a_mixed_workload() {
         s.trigger();
         h.join().unwrap();
     }
+}
+
+// ---------------------------------------------------------------------------
+// Client-facing front end: the router enforces coqld's connection contract.
+// ---------------------------------------------------------------------------
+
+const EASY: &str = "CHECK app select x.B from x in R where x.A = 1 ;; select x.B from x in R";
+
+/// One shard behind a router with `config`'s client-facing limits and a
+/// short drain, so teardown never waits long on a test's leftovers.
+fn front_end_fleet(config: RouterConfig) -> (SocketAddr, impl FnOnce()) {
+    let (shard_addr, shard_stop, shard_handle) = start_shard(false);
+    let config = RouterConfig { drain_timeout: Duration::from_millis(500), ..config };
+    let (router_addr, _router, stop, handle) = start_router(&[shard_addr], config);
+    let teardown = move || {
+        stop.trigger();
+        handle.join().unwrap();
+        shard_stop.trigger();
+        shard_handle.join().unwrap();
+    };
+    (router_addr, teardown)
+}
+
+#[test]
+fn router_cuts_off_a_slow_loris_at_the_line_deadline() {
+    let config = RouterConfig { read_timeout: Some(Duration::from_millis(300)), ..test_config() };
+    let (router_addr, teardown) = front_end_fleet(config);
+    let mut loris = TcpStream::connect(router_addr).unwrap();
+    // The loris dribbles one byte, then waits up to 50 ms for the router
+    // to hang up, and repeats for as long as it is let: every socket
+    // read on the router's side succeeds, so only the absolute per-line
+    // deadline can cut it off.
+    loris.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+    let start = Instant::now();
+    let mut buf = [0u8; 16];
+    let cut_off = loop {
+        if start.elapsed() > Duration::from_secs(5) {
+            break false;
+        }
+        if loris.write_all(b"x").is_err() {
+            break true;
+        }
+        match loris.read(&mut buf) {
+            Ok(0) => break true,
+            Ok(_) => continue,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => break true, // reset by the closing router
+        }
+    };
+    assert!(
+        cut_off && start.elapsed() < Duration::from_secs(3),
+        "loris survived {:?}, expected a cutoff near 300ms",
+        start.elapsed()
+    );
+    // A well-behaved client is unaffected.
+    let mut c = Client::connect(router_addr);
+    assert!(c.send(SCHEMA).starts_with("OK"));
+    assert!(c.send(EASY).starts_with("OK holds=true"));
+    drop(c);
+    drop(loris);
+    teardown();
+}
+
+#[test]
+fn router_rejects_an_oversized_line_and_the_connection_survives() {
+    let (router_addr, teardown) =
+        front_end_fleet(RouterConfig { max_line_bytes: 256, ..test_config() });
+    let mut c = Client::connect(router_addr);
+    assert!(c.send(SCHEMA).starts_with("OK"));
+    let huge = format!("CHECK app {} ;; {}", "x".repeat(4096), "y".repeat(4096));
+    assert_eq!(c.send(&huge), "ERR TOOLARGE line exceeds 256 bytes");
+    // The oversized line was discarded up to its newline; the next
+    // request on the same connection parses cleanly.
+    let reply = c.send(EASY);
+    assert!(reply.starts_with("OK holds=true"), "{reply}");
+    drop(c);
+    teardown();
+}
+
+#[test]
+fn router_sheds_the_connection_past_max_connections() {
+    let (router_addr, teardown) =
+        front_end_fleet(RouterConfig { max_connections: 1, ..test_config() });
+    let mut first = Client::connect(router_addr);
+    // A served request proves the first connection holds the only slot.
+    assert!(first.send(SCHEMA).starts_with("OK"));
+    let mut second = Client::connect(router_addr);
+    let mut reply = String::new();
+    second.reader.read_line(&mut reply).expect("read shed reply");
+    assert_eq!(reply, "ERR OVERLOADED connection limit reached, retry later\n");
+    // The shed socket is closed after the reply.
+    let mut rest = String::new();
+    assert_eq!(second.reader.read_to_string(&mut rest).unwrap(), 0);
+    // Releasing the slot lets the next client in.
+    assert_eq!(first.send("QUIT"), "OK bye");
+    drop(first);
+    let give_up = Instant::now() + Duration::from_secs(5);
+    let reply = loop {
+        // The slot frees when the handler thread exits; retry briefly.
+        // A shed socket may already be closed when we write (broken
+        // pipe) — that counts as "still overloaded", not a failure.
+        assert!(Instant::now() < give_up, "connection slot never freed");
+        let stream = TcpStream::connect(router_addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let wrote = writeln!(writer, "{EASY}").is_ok();
+        let mut line = String::new();
+        let read = wrote && reader.read_line(&mut line).map(|n| n > 0).unwrap_or(false);
+        if !read || line.starts_with("ERR OVERLOADED") {
+            thread::sleep(Duration::from_millis(10));
+            continue;
+        }
+        break line.trim_end().to_string();
+    };
+    assert!(reply.starts_with("OK holds=true"), "{reply}");
+    teardown();
 }

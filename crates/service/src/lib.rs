@@ -19,11 +19,13 @@
 //!    one pipeline for every decision direction, scalar or union — memo,
 //!    in-flight coalescing of concurrent identical requests, budgets,
 //!    panic isolation, certificates;
-//! 4. [`server`] — the `coqld` TCP front end: a line-oriented
-//!    `CHECK`/`EQUIV`/`FINGERPRINT`/`SCHEMA`/`STATS` protocol with
+//! 4. [`server`] — the `coqld` line protocol: a
+//!    `CHECK`/`EQUIV`/`FINGERPRINT`/`SCHEMA`/`STATS` handler with
 //!    per-decision-path latency histograms, whose request-line prelude
 //!    (`CERT`/`EXPLAIN`/`TIMEOUT`/`BUDGET` and the verb) is parsed by
-//!    [`proto`], shared with the router and `coqlc`;
+//!    [`proto`], shared with the router and `coqlc`. It sits behind
+//!    [`front`], the TCP front end (accept, admission, bounded line
+//!    reads, panic walls, replies, drain) that `coqld-router` shares;
 //! 5. [`snapshot`] — a versioned, checksummed on-disk format for the memo
 //!    cache, published atomically (temp + fsync + rename) by a background
 //!    snapshotter so restarts warm-start instead of recomputing
@@ -75,11 +77,12 @@ pub mod deadline;
 pub mod engine;
 pub mod faults;
 pub mod fingerprint;
+pub mod front;
 pub mod proto;
 pub mod server;
 pub mod snapshot;
 pub mod stats;
-mod sync;
+pub mod sync;
 
 pub use cache::{CacheEntry, CacheKey, CacheStats, MemoCache};
 pub use deadline::{Deadline, RequestBudget};
@@ -88,9 +91,8 @@ pub use fingerprint::{
     canonical_fingerprint, canonical_union_fingerprint, fingerprint_bytes, fingerprint_query,
     fingerprint_schema, fingerprint_union, Fingerprint, FINGERPRINT_VERSION,
 };
-pub use server::{
-    parse_schema_decl, render_schema_decl, serve, serve_with_shutdown, ServerConfig, Shutdown,
-};
+pub use front::Shutdown;
+pub use server::{parse_schema_decl, render_schema_decl, serve, serve_with_shutdown, ServerConfig};
 pub use snapshot::{
     crc32, decode_snapshot, encode_snapshot, from_hex, load_snapshot, peek_header, to_hex,
     write_snapshot, LoadOutcome, SnapshotHeader, FORMAT_VERSION,

@@ -97,6 +97,27 @@ pub fn parse_prelude(line: &str, default_timeout: Option<Duration>) -> Result<Pr
     Ok(Prelude { budget, explain, cert, verb, rest: rest.trim() })
 }
 
+/// Splits `<head> <tail>`, erroring with a usage hint when `tail` is
+/// missing.
+pub fn split_head<'a>(rest: &'a str, usage: &str) -> Result<(&'a str, &'a str), String> {
+    match rest.split_once(char::is_whitespace) {
+        Some((head, tail)) if !tail.trim().is_empty() => Ok((head, tail.trim())),
+        _ => Err(format!("usage: {usage}")),
+    }
+}
+
+/// Splits `<schema> <q1> ;; <q2>` into its three trimmed, non-empty
+/// parts, erroring with a usage hint otherwise.
+pub fn split_pair<'a>(rest: &'a str, usage: &str) -> Result<(&'a str, &'a str, &'a str), String> {
+    let (schema, queries) = split_head(rest, usage)?;
+    match queries.split_once(";;") {
+        Some((q1, q2)) if !q1.trim().is_empty() && !q2.trim().is_empty() => {
+            Ok((schema, q1.trim(), q2.trim()))
+        }
+        _ => Err(format!("usage: {usage}")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

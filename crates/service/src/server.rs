@@ -1,4 +1,5 @@
-//! `coqld`'s TCP front end: a line-oriented request/response protocol.
+//! `coqld`'s line protocol: the request handler behind the shared
+//! [`crate::front`] end.
 //!
 //! One request per line, one reply per line (except `STATS`, which ends
 //! with `END`), UTF-8, newline-terminated — usable from `nc`:
@@ -61,7 +62,8 @@
 //! `persist.cert_rejected`). When a verdict stands but no certificate
 //! can be constructed the reply is `ERR CERTUNAVAILABLE …`.
 //!
-//! Replies start `OK` or `ERR`. Degradation is graceful by design:
+//! Replies start `OK` or `ERR`. Degradation is graceful by design (the
+//! connection-level half is [`crate::front`], shared with the router):
 //!
 //! * connections beyond [`ServerConfig::max_connections`] are shed
 //!   immediately with `ERR OVERLOADED` instead of queueing unboundedly;
@@ -79,14 +81,12 @@
 //!   connections finish up to [`ServerConfig::drain_timeout`], then
 //!   returns cleanly.
 
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
 
 use co_cq::{RelSchema, Schema};
 use co_object::interrupt;
@@ -95,12 +95,11 @@ use co_trace::{kernel, put_header, put_sample, put_summary, Span};
 
 use crate::deadline::RequestBudget;
 use crate::engine::{Decision, Engine, Explain, Op, Request};
-use crate::faults;
 use crate::fingerprint::FINGERPRINT_VERSION;
-use crate::proto::{parse_prelude, Prelude};
+use crate::front::{serve_lines, spawn_ticker, Limits, LineService, Reply, Shutdown};
+use crate::proto::{parse_prelude, split_head, split_pair, Prelude};
 use crate::snapshot::{from_hex, to_hex, FORMAT_VERSION};
 use crate::stats::{self, ServerStats};
-use crate::sync;
 
 /// Server knobs.
 #[derive(Clone, Debug)]
@@ -161,109 +160,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// A counting gate bounding live connection threads (std-only semaphore).
-struct Gate {
-    state: Mutex<usize>,
-    freed: Condvar,
-    max: usize,
-}
-
-/// RAII slot in the [`Gate`]: released on drop, so a handler that panics
-/// or returns early can never leak its connection slot.
-struct GateGuard {
-    gate: Arc<Gate>,
-}
-
-impl Gate {
-    fn new(max: usize) -> Gate {
-        Gate { state: Mutex::new(0), freed: Condvar::new(), max: max.max(1) }
-    }
-
-    /// Claims a slot if one is free; `None` means shed the connection.
-    fn try_acquire(self: &Arc<Self>) -> Option<GateGuard> {
-        let mut live = sync::lock(&self.state);
-        if *live >= self.max {
-            return None;
-        }
-        *live += 1;
-        Some(GateGuard { gate: Arc::clone(self) })
-    }
-
-    /// Waits until no slot is held or `deadline` passes; true when idle.
-    fn wait_idle(&self, deadline: Instant) -> bool {
-        let mut live = sync::lock(&self.state);
-        while *live > 0 {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return false;
-            }
-            live = sync::wait_timeout(&self.freed, live, remaining);
-        }
-        true
-    }
-}
-
-impl Drop for GateGuard {
-    fn drop(&mut self) {
-        *sync::lock(&self.gate.state) -= 1;
-        self.gate.freed.notify_all();
-    }
-}
-
-#[derive(Default)]
-struct ShutdownState {
-    stop: AtomicBool,
-    addr: Mutex<Option<SocketAddr>>,
-}
-
-/// Handle for stopping a [`serve_with_shutdown`] loop from another thread
-/// (or from the `SHUTDOWN` verb). Cheap to clone.
-#[derive(Clone, Default)]
-pub struct Shutdown {
-    inner: Arc<ShutdownState>,
-}
-
-impl Shutdown {
-    /// A fresh, untriggered handle.
-    pub fn new() -> Shutdown {
-        Shutdown::default()
-    }
-
-    /// Requests shutdown: the accept loop stops taking connections,
-    /// in-flight connections drain, and `serve_with_shutdown` returns.
-    /// Idempotent.
-    pub fn trigger(&self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        // Wake a blocked accept() with a throwaway connection; best-effort
-        // (if it fails, the next real connection unblocks the loop).
-        if let Some(addr) = *sync::lock(&self.inner.addr) {
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(100));
-        }
-    }
-
-    /// Whether shutdown has been requested.
-    pub fn is_triggered(&self) -> bool {
-        self.inner.stop.load(Ordering::SeqCst)
-    }
-
-    fn set_addr(&self, addr: Option<SocketAddr>) {
-        *sync::lock(&self.inner.addr) = addr;
-    }
-
-    /// Records the listener address [`Shutdown::trigger`] should poke to
-    /// wake a blocked `accept`. For servers built on this handle outside
-    /// this module (the router's accept loop reuses it).
-    pub fn set_wake_addr(&self, addr: Option<SocketAddr>) {
-        self.set_addr(addr);
-    }
-}
-
 /// Everything a connection handler needs, shared across all of them.
 struct ServerCtx {
     engine: Arc<Engine>,
     config: ServerConfig,
     stats: ServerStats,
-    shutdown: Shutdown,
 }
 
 /// Runs the accept loop until the listener errors. Equivalent to
@@ -286,45 +187,24 @@ pub fn serve_with_shutdown(
     config: ServerConfig,
     shutdown: Shutdown,
 ) -> std::io::Result<()> {
-    shutdown.set_addr(listener.local_addr().ok());
-    let gate = Arc::new(Gate::new(config.max_connections));
-    let ctx = Arc::new(ServerCtx { engine, config, stats: ServerStats::default(), shutdown });
+    let limits = Limits {
+        max_connections: config.max_connections,
+        read_timeout: config.read_timeout,
+        write_timeout: config.write_timeout,
+        max_line_bytes: config.max_line_bytes,
+        drain_timeout: config.drain_timeout,
+    };
+    let ctx = Arc::new(ServerCtx { engine, config, stats: ServerStats::default() });
+    // Periodically publish the memo cache. Write failures tick
+    // `persist.snapshot_failures` (inside `Engine::snapshot_to`) and
+    // leave the previous snapshot current.
     let snapshotter = ctx.config.cache_path.clone().map(|path| {
         let engine = Arc::clone(&ctx.engine);
-        let shutdown = ctx.shutdown.clone();
-        let interval = ctx.config.snapshot_interval;
-        thread::spawn(move || run_snapshotter(&engine, &path, interval, &shutdown))
+        spawn_ticker(ctx.config.snapshot_interval, &shutdown, move || {
+            let _ = engine.snapshot_to(&path);
+        })
     });
-    loop {
-        if ctx.shutdown.is_triggered() {
-            break;
-        }
-        let (stream, _peer) = listener.accept()?;
-        ctx.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        if ctx.shutdown.is_triggered() {
-            // Likely the wake-up connection from Shutdown::trigger.
-            break;
-        }
-        match gate.try_acquire() {
-            None => {
-                ctx.stats.shed.fetch_add(1, Ordering::Relaxed);
-                shed(stream);
-            }
-            Some(guard) => {
-                let ctx = Arc::clone(&ctx);
-                thread::spawn(move || {
-                    let _slot = guard;
-                    if catch_unwind(AssertUnwindSafe(|| handle_connection(stream, &ctx))).is_err() {
-                        ctx.stats.conn_panics.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        }
-    }
-    // Stop accepting before draining so new clients get connection-refused
-    // instead of a socket that will never be read.
-    drop(listener);
-    gate.wait_idle(Instant::now() + ctx.config.drain_timeout);
+    serve_lines(listener, &ctx, limits, &shutdown)?;
     if let Some(handle) = snapshotter {
         let _ = handle.join();
         // Final flush after the drain, so verdicts computed by the last
@@ -336,127 +216,20 @@ pub fn serve_with_shutdown(
     Ok(())
 }
 
-/// Periodically publishes the memo cache to `path` until shutdown. Sleeps
-/// in short ticks so a drain is never stuck behind a long interval. Write
-/// failures tick [`crate::stats::EngineStats::snapshot_failures`] (inside
-/// [`Engine::snapshot_to`]) and leave the previous snapshot current.
-fn run_snapshotter(
-    engine: &Engine,
-    path: &std::path::Path,
-    interval: Duration,
-    shutdown: &Shutdown,
-) {
-    let interval = interval.max(Duration::from_millis(1));
-    let tick = interval.min(Duration::from_millis(50));
-    let mut next = Instant::now() + interval;
-    while !shutdown.is_triggered() {
-        thread::sleep(tick);
-        if shutdown.is_triggered() {
-            break;
-        }
-        if Instant::now() >= next {
-            let _ = engine.snapshot_to(path);
-            next = Instant::now() + interval;
-        }
+impl LineService for ServerCtx {
+    type Conn = ConnState;
+    const REPLY_FAULTS: bool = true;
+
+    fn counters(&self) -> &ServerStats {
+        &self.stats
     }
-    // The final flush happens in serve_with_shutdown after the drain.
-}
 
-/// Best-effort overload reply on a connection we refuse to serve.
-fn shed(mut stream: TcpStream) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let _ = stream.write_all(b"ERR OVERLOADED connection limit reached, retry later\n");
-}
-
-/// What one bounded line read produced.
-enum LineRead {
-    /// A complete line (newline stripped, trailing `\r` trimmed).
-    Line(String),
-    /// The line exceeded the length cap; its bytes were discarded.
-    TooLarge,
-    /// Clean end of stream.
-    Eof,
-    /// The per-line deadline passed before a newline arrived.
-    IdleTimeout,
-}
-
-/// Reads one `\n`-terminated line of at most `max` bytes, giving the
-/// client `per_line` of wall-clock time for the whole line (so a client
-/// dribbling one byte per socket-timeout interval still gets cut off).
-/// Oversized lines are consumed and discarded up to their newline.
-fn read_bounded_line(
-    reader: &mut BufReader<TcpStream>,
-    max: usize,
-    per_line: Option<Duration>,
-) -> io::Result<LineRead> {
-    let deadline = per_line.map(|t| Instant::now() + t);
-    let mut line: Vec<u8> = Vec::new();
-    let mut discarding = false;
-    loop {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok(LineRead::IdleTimeout);
-        }
-        // Computed inside the fill_buf borrow; consumption happens after.
-        enum Step {
-            Eof,
-            Consumed { n: usize, newline: bool },
-        }
-        let step = match reader.fill_buf() {
-            Ok([]) => Step::Eof,
-            Ok(buf) => match buf.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    if !discarding {
-                        line.extend_from_slice(&buf[..pos]);
-                    }
-                    Step::Consumed { n: pos + 1, newline: true }
-                }
-                None => {
-                    if !discarding {
-                        line.extend_from_slice(buf);
-                    }
-                    Step::Consumed { n: buf.len(), newline: false }
-                }
-            },
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return Ok(LineRead::IdleTimeout);
-            }
-            Err(e) => return Err(e),
-        };
-        match step {
-            Step::Eof => {
-                return Ok(if discarding {
-                    LineRead::TooLarge
-                } else if line.is_empty() {
-                    LineRead::Eof
-                } else {
-                    // A final unterminated line still gets served.
-                    LineRead::Line(finish_line(line))
-                });
-            }
-            Step::Consumed { n, newline } => {
-                reader.consume(n);
-                if !discarding && line.len() > max {
-                    discarding = true;
-                    line.clear();
-                }
-                if newline {
-                    return Ok(if discarding {
-                        LineRead::TooLarge
-                    } else {
-                        LineRead::Line(finish_line(line))
-                    });
-                }
-            }
-        }
+    fn handle(self: &Arc<Self>, line: &str, conn: &mut ConnState) -> Reply {
+        let request_span = Span::start();
+        let reply = handle_line(line, self, conn);
+        slow_log(self, line, &reply, request_span.elapsed());
+        reply
     }
-}
-
-fn finish_line(mut bytes: Vec<u8>) -> String {
-    if bytes.last() == Some(&b'\r') {
-        bytes.pop();
-    }
-    String::from_utf8_lossy(&bytes).into_owned()
 }
 
 /// Per-connection protocol state: the snapshot-staging buffer used by the
@@ -479,68 +252,6 @@ struct Staging {
 /// for any real cache, small enough that a hostile `SNAPBEGIN` cannot
 /// reserve unbounded memory.
 const MAX_STAGED_BYTES: usize = 64 * 1024 * 1024;
-
-fn handle_connection(stream: TcpStream, ctx: &ServerCtx) -> std::io::Result<()> {
-    // The socket timeout bounds each read() syscall; read_bounded_line
-    // layers an absolute per-line deadline of the same duration on top.
-    stream.set_read_timeout(ctx.config.read_timeout)?;
-    stream.set_write_timeout(ctx.config.write_timeout)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut conn = ConnState::default();
-    loop {
-        if ctx.shutdown.is_triggered() {
-            break;
-        }
-        let line = match read_bounded_line(
-            &mut reader,
-            ctx.config.max_line_bytes,
-            ctx.config.read_timeout,
-        )? {
-            LineRead::Eof => break,
-            LineRead::IdleTimeout => {
-                ctx.stats.idle_closed.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            LineRead::TooLarge => {
-                ctx.stats.oversized.fetch_add(1, Ordering::Relaxed);
-                let reply =
-                    format!("ERR TOOLARGE line exceeds {} bytes", ctx.config.max_line_bytes);
-                if write_reply(&mut writer, &reply).is_err() {
-                    break;
-                }
-                continue;
-            }
-            LineRead::Line(line) => line,
-        };
-        // One panicking request must not take the connection down with it.
-        let request_span = Span::start();
-        let reply = catch_unwind(AssertUnwindSafe(|| handle_line(&line, ctx, &mut conn)))
-            .unwrap_or_else(|_| {
-                ctx.stats.conn_panics.fetch_add(1, Ordering::Relaxed);
-                Reply::Line("ERR INTERNAL request handler panicked".to_string())
-            });
-        slow_log(ctx, &line, &reply, request_span.elapsed());
-        match reply {
-            Reply::None => {}
-            Reply::Line(text) => {
-                if write_reply(&mut writer, &text).is_err() {
-                    break;
-                }
-            }
-            Reply::Quit => {
-                let _ = write_reply(&mut writer, "OK bye");
-                break;
-            }
-            Reply::Shutdown => {
-                let _ = write_reply(&mut writer, "OK draining");
-                ctx.shutdown.trigger();
-                break;
-            }
-        }
-    }
-    Ok(())
-}
 
 /// Writes a one-line structured record to stderr for requests that took at
 /// least [`ServerConfig::slow_log`] end to end (and counts them). The
@@ -566,50 +277,6 @@ fn slow_log(ctx: &ServerCtx, line: &str, reply: &Reply, elapsed: Duration) {
         status,
         line.len()
     );
-}
-
-fn write_reply(writer: &mut TcpStream, text: &str) -> io::Result<()> {
-    match faults::reply_fault() {
-        faults::ReplyFault::None => {}
-        faults::ReplyFault::Stall(ms) => {
-            // Delay, then answer normally: the reply is correct but slow
-            // (a hedge should win the race against it).
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-        faults::ReplyFault::Garble => {
-            // Corrupt every payload byte but keep the line framing, so
-            // the peer reads a complete line of garbage — its reply
-            // validation, not its framing, must catch it.
-            let garbled: Vec<u8> =
-                text.bytes().map(|b| if b == b'\n' { b } else { b ^ 0x55 }).collect();
-            writer.write_all(&garbled)?;
-            writer.write_all(b"\n")?;
-            return writer.flush();
-        }
-        faults::ReplyFault::DropMidReply => {
-            // Write half the reply, then sever the connection without the
-            // terminating newline: the peer sees a truncated line ending
-            // in EOF and must treat it as a failure, not an answer.
-            writer.write_all(&text.as_bytes()[..text.len() / 2])?;
-            writer.flush()?;
-            let _ = writer.shutdown(std::net::Shutdown::Both);
-            return Err(io::Error::new(io::ErrorKind::ConnectionAborted, "fault-inject: drop"));
-        }
-    }
-    writer.write_all(text.as_bytes())?;
-    let pad = faults::reply_padding();
-    if pad > 0 {
-        writer.write_all(&vec![b'#'; pad])?;
-    }
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
-enum Reply {
-    None,
-    Line(String),
-    Quit,
-    Shutdown,
 }
 
 fn handle_line(line: &str, ctx: &ServerCtx, conn: &mut ConnState) -> Reply {
@@ -765,14 +432,6 @@ fn handle_snap(
     }
 }
 
-/// Splits `<head> <tail>`, erroring with a usage hint when `tail` is missing.
-fn split_head<'a>(rest: &'a str, usage: &str) -> Result<(&'a str, &'a str), String> {
-    match rest.split_once(char::is_whitespace) {
-        Some((head, tail)) if !tail.trim().is_empty() => Ok((head, tail.trim())),
-        _ => Err(format!("usage: {usage}")),
-    }
-}
-
 fn pair_request(op: Op, rest: &str) -> Result<Request, String> {
     let usage = match op {
         Op::Check => "CHECK <schema> <q1> ;; <q2>",
@@ -780,12 +439,7 @@ fn pair_request(op: Op, rest: &str) -> Result<Request, String> {
         Op::UCheck => "UCHECK <schema> <q1> [or <q>]* ;; <q2> [or <q>]*",
         Op::UEquiv => "UEQUIV <schema> <q1> [or <q>]* ;; <q2> [or <q>]*",
     };
-    let (schema, queries) = split_head(rest, usage)?;
-    let (q1, q2) = queries.split_once(";;").ok_or_else(|| format!("usage: {usage}"))?;
-    let (q1, q2) = (q1.trim(), q2.trim());
-    if q1.is_empty() || q2.is_empty() {
-        return Err(format!("usage: {usage}"));
-    }
+    let (schema, q1, q2) = split_pair(rest, usage)?;
     Ok(Request::new(op, schema, q1, q2))
 }
 
@@ -1138,7 +792,6 @@ mod tests {
             engine: Arc::new(engine),
             config: ServerConfig::default(),
             stats: ServerStats::default(),
-            shutdown: Shutdown::new(),
         }
     }
 

@@ -6,7 +6,7 @@
 //! shards, the in-flight map, the connection gauge) stays structurally
 //! consistent across unwinds (invariants are restored by RAII guards, not
 //! by the lock), so the right response to poison is to take the data and
-//! keep serving.
+//! keep serving. The router uses the same helpers for its own state.
 
 use std::sync::{
     Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
@@ -14,28 +14,28 @@ use std::sync::{
 use std::time::Duration;
 
 /// `Mutex::lock` that recovers from poisoning.
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `RwLock::read` that recovers from poisoning.
-pub(crate) fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+pub fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `RwLock::write` that recovers from poisoning.
-pub(crate) fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+pub fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `Condvar::wait` that recovers from poisoning.
-pub(crate) fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+pub fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `Condvar::wait_timeout` that recovers from poisoning. The timeout flag
 /// is dropped: callers re-check their predicate and their own deadline.
-pub(crate) fn wait_timeout<'a, T>(
+pub fn wait_timeout<'a, T>(
     condvar: &Condvar,
     guard: MutexGuard<'a, T>,
     timeout: Duration,

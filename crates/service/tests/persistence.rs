@@ -10,7 +10,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -18,6 +18,17 @@ use co_service::{
     serve_with_shutdown, snapshot, Decision, Engine, EngineConfig, LoadOutcome, Op, Request,
     RequestBudget, ServerConfig, Shutdown, WarmStart,
 };
+
+/// Serializes every test that writes a snapshot. Under `fault-inject`
+/// the snapshot fault triggers are process-global counters, so an armed
+/// fault fires in whichever test writes next: a test that snapshots —
+/// directly or through a `TestServer` — holds this lock for its whole
+/// run, and the fault-armed tests arm and reset the triggers under it.
+static FAULT_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock_faults() -> MutexGuard<'static, ()> {
+    FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A scratch directory unique to one test (fresh on every run).
 fn tempdir(name: &str) -> PathBuf {
@@ -53,6 +64,7 @@ fn decide(engine: &Engine, q1: &str, q2: &str) -> (bool, bool) {
 
 #[test]
 fn snapshot_roundtrip_restores_verdicts_and_counts_recovery() {
+    let _faults = lock_faults();
     let dir = tempdir("roundtrip");
     let path = dir.join("cache.snap");
 
@@ -104,6 +116,7 @@ fn reseal_header(bytes: &mut [u8]) {
 
 #[test]
 fn stale_fingerprint_version_is_quarantined_not_served() {
+    let _faults = lock_faults();
     let dir = tempdir("stale");
     let path = dir.join("cache.snap");
     let engine = small_engine();
@@ -132,6 +145,7 @@ fn stale_fingerprint_version_is_quarantined_not_served() {
 
 #[test]
 fn corrupt_snapshot_is_moved_aside_and_next_boot_is_cold() {
+    let _faults = lock_faults();
     let dir = tempdir("corrupt");
     let path = dir.join("cache.snap");
     let engine = small_engine();
@@ -163,6 +177,7 @@ fn corrupt_snapshot_is_moved_aside_and_next_boot_is_cold() {
 
 #[test]
 fn truncated_snapshot_is_quarantined() {
+    let _faults = lock_faults();
     let dir = tempdir("truncated");
     let path = dir.join("cache.snap");
     let engine = small_engine();
@@ -182,6 +197,7 @@ fn truncated_snapshot_is_quarantined() {
 
 #[test]
 fn timed_out_decisions_are_never_snapshotted() {
+    let _faults = lock_faults();
     let dir = tempdir("timeouts");
     let path = dir.join("cache.snap");
     let engine = small_engine();
@@ -296,6 +312,7 @@ fn stat(stats: &[(String, String)], key: &str) -> u64 {
 
 #[test]
 fn tcp_restart_drill_warm_starts_with_identical_verdicts() {
+    let _faults = lock_faults();
     let dir = tempdir("tcp-drill");
     let path = dir.join("cache.snap");
     let config = ServerConfig {
@@ -348,6 +365,7 @@ fn tcp_restart_drill_warm_starts_with_identical_verdicts() {
 
 #[test]
 fn periodic_snapshotter_publishes_without_shutdown() {
+    let _faults = lock_faults();
     let dir = tempdir("periodic");
     let path = dir.join("cache.snap");
     let config = ServerConfig {
@@ -388,16 +406,12 @@ mod faulted {
     use super::*;
     use co_service::faults;
     use std::path::Path;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// Fault triggers are process-global; serialize tests that arm them.
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
     struct FaultSession(#[allow(dead_code)] MutexGuard<'static, ()>);
 
     impl FaultSession {
         fn begin() -> FaultSession {
-            let guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+            let guard = lock_faults();
             faults::reset();
             FaultSession(guard)
         }

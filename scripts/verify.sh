@@ -394,8 +394,10 @@ echo "==> chaos drill (replicated fleet under faults, kill + restart)"
 # own target dir (cached across runs) for the flaky shard only.
 run cargo build --release -p coql-containment --features fault-inject \
     --bin coqld --target-dir target/chaos
-# The chaos suite proper: router + in-process shards with armed faults.
-run cargo test -q -p co-router --features fault-inject --test chaos
+# The chaos suite proper (router + in-process shards with armed faults),
+# plus the rest of the router suite with the reply hooks compiled into the
+# front end the router shares with coqld.
+run cargo test -q -p co-router --features fault-inject
 
 CHAOS_PIDS=
 trap 'kill $CHAOS_PIDS $FLEET_PIDS "$COQLD_PID" 2>/dev/null || true' EXIT
